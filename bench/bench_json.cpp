@@ -1,17 +1,14 @@
-// bench_json — DOM vs arena JSON parse/decode throughput on instance
+// bench_json — JSON parse and instance decode throughput on instance
 // documents (the serving hot path's workload).
 //
 // For each fig2-scale network size, generates a seed-deterministic
-// instance, serializes it canonically, and times four pipelines over the
+// instance, serializes it canonically, and times three calls over the
 // same bytes:
-//   dom_parse     parse_json -> JsonValue (reference path)
-//   arena_parse   parse_json_arena -> JsonArena (zero-DOM hot path)
-//   dom_decode    parse_json + instance_from_json -> core::Instance
-//   arena_decode  instance_from_json_text -> core::Instance (no DOM)
+//   parse_json_arena         bytes -> JsonArena (what the service runs)
+//   parse_json               bytes -> JsonArena -> owned JsonValue tree
+//   instance_from_json_text  bytes -> JsonArena -> core::Instance
 // Deterministic record fields: document bytes, arena node count, and the
-// canonical-dump digest, which must be identical on both paths (a parity
-// failure aborts the bench). All timing and throughput live under wall_
-// keys; wall_parse_speedup (arena over DOM) is the acceptance headline.
+// canonical-dump digest. All timing and throughput live under wall_ keys.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -33,9 +30,8 @@ int main() {
   // scaled down (with the repetition count) for CI smoke.
   const std::size_t iterations = smoke_mode() ? 5 : 40;
 
-  util::Table table({"network size", "bytes", "DOM parse (ms)",
-                     "arena parse (ms)", "parse speedup", "DOM decode (ms)",
-                     "arena decode (ms)", "decode speedup"});
+  util::Table table({"network size", "bytes", "arena parse (ms)",
+                     "parse_json (ms)", "decode (ms)", "arena MB/s"});
   BenchRecorder recorder("json");
 
   for (const std::size_t size : sizes) {
@@ -45,46 +41,25 @@ int main() {
     params.provider_count = 2 * size;
     const core::Instance inst = core::generate_instance(params, rng);
     const std::string bytes = core::instance_to_json(inst).dump();
+    const util::JsonArena doc = util::parse_json_arena(bytes);
 
-    // Parity gate before timing: both paths must re-serialize the document
-    // to identical bytes, or the digest-keyed service cache would split.
-    const util::JsonValue dom_doc = util::parse_json(bytes);
-    const util::JsonArena arena_doc = util::parse_json_arena(bytes);
-    const std::string dom_dump = dom_doc.dump();
-    const std::string arena_dump = arena_doc.dump();
-    if (dom_dump != arena_dump) {
-      std::cerr << "FATAL: DOM/arena canonical dumps differ at size " << size
-                << "\n";
-      return 1;
-    }
-
-    double dom_parse_ms = 0.0, arena_parse_ms = 0.0;
-    double dom_decode_ms = 0.0, arena_decode_ms = 0.0;
+    double arena_parse_ms = 0.0, parse_json_ms = 0.0, decode_ms = 0.0;
     for (std::size_t rep = 0; rep < repetitions(); ++rep) {
       {
         const util::Timer t;
         for (std::size_t i = 0; i < iterations; ++i) {
-          const util::JsonValue v = util::parse_json(bytes);
-          if (v.is_null()) std::abort();  // keep the parse observable
-        }
-        dom_parse_ms += t.elapsed_ms();
-      }
-      {
-        const util::Timer t;
-        for (std::size_t i = 0; i < iterations; ++i) {
           const util::JsonArena a = util::parse_json_arena(bytes);
-          if (a.empty()) std::abort();
+          if (a.empty()) std::abort();  // keep the parse observable
         }
         arena_parse_ms += t.elapsed_ms();
       }
       {
         const util::Timer t;
         for (std::size_t i = 0; i < iterations; ++i) {
-          const core::Instance decoded =
-              core::instance_from_json(util::parse_json(bytes));
-          if (decoded.provider_count() == 0) std::abort();
+          const util::JsonValue v = util::parse_json(bytes);
+          if (v.is_null()) std::abort();
         }
-        dom_decode_ms += t.elapsed_ms();
+        parse_json_ms += t.elapsed_ms();
       }
       {
         const util::Timer t;
@@ -92,50 +67,39 @@ int main() {
           const core::Instance decoded = core::instance_from_json_text(bytes);
           if (decoded.provider_count() == 0) std::abort();
         }
-        arena_decode_ms += t.elapsed_ms();
+        decode_ms += t.elapsed_ms();
       }
     }
     const double runs = static_cast<double>(repetitions() * iterations);
-    dom_parse_ms /= runs;
     arena_parse_ms /= runs;
-    dom_decode_ms /= runs;
-    arena_decode_ms /= runs;
-    const double parse_speedup =
-        arena_parse_ms > 0.0 ? dom_parse_ms / arena_parse_ms : 0.0;
-    const double decode_speedup =
-        arena_decode_ms > 0.0 ? dom_decode_ms / arena_decode_ms : 0.0;
+    parse_json_ms /= runs;
+    decode_ms /= runs;
     const double mb = static_cast<double>(bytes.size()) / 1e6;
+    const double arena_mb_per_s =
+        arena_parse_ms > 0.0 ? mb / (arena_parse_ms / 1e3) : 0.0;
 
     table.add_row({static_cast<long long>(size),
-                   static_cast<long long>(bytes.size()), dom_parse_ms,
-                   arena_parse_ms, parse_speedup, dom_decode_ms,
-                   arena_decode_ms, decode_speedup});
+                   static_cast<long long>(bytes.size()), arena_parse_ms,
+                   parse_json_ms, decode_ms, arena_mb_per_s});
 
     util::JsonObject row;
     row["network_size"] = util::JsonValue(size);
     row["document_bytes"] = util::JsonValue(bytes.size());
-    row["arena_nodes"] = util::JsonValue(arena_doc.node_count());
-    row["canonical_digest"] = util::JsonValue(obs::fnv1a64_hex(dom_dump));
-    // Ratios and throughputs are derived from wall clocks, so they carry
-    // the wall_ prefix even without an _ms unit suffix.
-    row["wall_parse_speedup"] = util::JsonValue(parse_speedup);
-    row["wall_decode_speedup"] = util::JsonValue(decode_speedup);
-    row["wall_dom_parse_mb_per_s"] = util::JsonValue(
-        dom_parse_ms > 0.0 ? mb / (dom_parse_ms / 1e3) : 0.0);
-    row["wall_arena_parse_mb_per_s"] = util::JsonValue(
-        arena_parse_ms > 0.0 ? mb / (arena_parse_ms / 1e3) : 0.0);
+    row["arena_nodes"] = util::JsonValue(doc.node_count());
+    row["canonical_digest"] = util::JsonValue(obs::fnv1a64_hex(doc.dump()));
+    // A throughput is derived from wall clocks, so it carries the wall_
+    // prefix even without an _ms unit suffix.
+    row["wall_arena_parse_mb_per_s"] = util::JsonValue(arena_mb_per_s);
     recorder.add("size=" + std::to_string(size), std::move(row),
-                 {{"dom_parse", dom_parse_ms},
-                  {"arena_parse", arena_parse_ms},
-                  {"dom_decode", dom_decode_ms},
-                  {"arena_decode", arena_decode_ms}});
+                 {{"arena_parse", arena_parse_ms},
+                  {"parse_json", parse_json_ms},
+                  {"arena_decode", decode_ms}});
   }
   recorder.write_file();
 
-  std::cout << "JSON parse paths — DOM (util/json.h) vs arena "
-               "(util/json_arena.h), "
+  std::cout << "JSON parse (util/json_arena.h) and instance decode, "
             << repetitions() << " reps x " << iterations
-            << " iterations per point, per-parse means\n";
+            << " iterations per point, per-call means\n";
   util::print_section(std::cout, "instance documents", table);
   return 0;
 }

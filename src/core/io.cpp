@@ -10,6 +10,7 @@ namespace mecsc::core {
 using util::JsonArray;
 using util::JsonObject;
 using util::JsonValue;
+using View = util::JsonArena::View;
 
 namespace {
 
@@ -19,25 +20,18 @@ namespace {
 /// behavior, and a plausible-looking huge index would silently allocate.
 /// Every rejection names the offending element and the violated bound so
 /// the producer can fix the document without reading this source.
-///
-/// The helpers (and the instance decoders below) are templates over the
-/// document type — instantiated once for the DOM (util::JsonValue) and
-/// once for the arena cursor (util::JsonArena::View) — so the two parse
-/// paths share one body and cannot diverge in validation or messages.
 
 [[noreturn]] void reject(const std::string& where, const std::string& why) {
   throw std::invalid_argument("io: " + where + ": " + why);
 }
 
-template <class Doc>
-double checked_finite(const Doc& v, const std::string& where) {
+double checked_finite(const View& v, const std::string& where) {
   const double d = v.as_number();
   if (!std::isfinite(d)) reject(where, "must be finite");
   return d;
 }
 
-template <class Doc>
-double checked_nonneg(const Doc& v, const std::string& where) {
+double checked_nonneg(const View& v, const std::string& where) {
   const double d = checked_finite(v, where);
   if (d < 0.0) {
     reject(where, "is " + util::JsonValue(d).dump() + " but must be >= 0");
@@ -45,8 +39,7 @@ double checked_nonneg(const Doc& v, const std::string& where) {
   return d;
 }
 
-template <class Doc>
-double checked_fraction(const Doc& v, const std::string& where) {
+double checked_fraction(const View& v, const std::string& where) {
   const double d = checked_finite(v, where);
   if (d < 0.0 || d > 1.0) {
     reject(where,
@@ -56,8 +49,7 @@ double checked_fraction(const Doc& v, const std::string& where) {
 }
 
 /// Index in [0, bound): integral, non-negative, in range.
-template <class Doc>
-std::size_t checked_index(const Doc& v, const std::string& where,
+std::size_t checked_index(const View& v, const std::string& where,
                           std::size_t bound, const std::string& bound_name) {
   const double d = checked_finite(v, where);
   if (d < 0.0 || d != std::floor(d)) {
@@ -73,8 +65,7 @@ std::size_t checked_index(const Doc& v, const std::string& where,
 }
 
 /// Non-negative integral count (no upper bound).
-template <class Doc>
-std::size_t checked_count(const Doc& v, const std::string& where) {
+std::size_t checked_count(const View& v, const std::string& where) {
   const double d = checked_finite(v, where);
   if (d < 0.0 || d != std::floor(d)) {
     reject(where,
@@ -96,15 +87,14 @@ JsonValue graph_to_json(const net::Graph& g) {
                               {"edges", JsonValue(std::move(edges))}});
 }
 
-template <class Doc>
-net::Graph graph_from_any(const Doc& doc) {
+net::Graph graph_from_arena(const View& doc) {
   const std::size_t nodes = checked_count(doc.at("nodes"), "topology.nodes");
   if (nodes == 0) reject("topology.nodes", "graph needs at least one node");
   net::Graph g(nodes);
   std::size_t idx = 0;
-  for (const auto& e : doc.at("edges").as_array()) {
+  for (const View e : doc.at("edges").as_array()) {
     const std::string where = "topology.edges[" + std::to_string(idx++) + "]";
-    const auto& t = e.as_array();
+    const auto t = e.as_array();
     if (t.size() != 4) {
       reject(where, "edge tuple has " + std::to_string(t.size()) +
                         " elements but must be [u, v, length, bandwidth]");
@@ -129,9 +119,9 @@ CongestionKind congestion_kind_from_name(std::string_view name) {
                               std::string(name) + "'");
 }
 
-/// Shared decode body — see the template note on the checked_* helpers.
-template <class Doc>
-Instance instance_from_any(const Doc& doc) {
+}  // namespace
+
+Instance instance_from_arena(const View& doc) {
   const double version = checked_finite(doc.at("format_version"),
                                         "format_version");
   if (static_cast<int>(version) != kIoFormatVersion ||
@@ -140,12 +130,12 @@ Instance instance_from_any(const Doc& doc) {
            "is " + JsonValue(version).dump() + " but this build reads version " +
                std::to_string(kIoFormatVersion));
   }
-  net::Graph topology = graph_from_any(doc.at("topology"));
+  net::Graph topology = graph_from_arena(doc.at("topology"));
   const std::size_t nodes = topology.node_count();
 
   std::vector<net::Cloudlet> cloudlets;
   std::size_t idx = 0;
-  for (const auto& c : doc.at("cloudlets").as_array()) {
+  for (const View c : doc.at("cloudlets").as_array()) {
     const std::string where = "cloudlets[" + std::to_string(idx++) + "]";
     net::Cloudlet cl;
     cl.node = static_cast<net::NodeId>(
@@ -157,7 +147,7 @@ Instance instance_from_any(const Doc& doc) {
   }
   std::vector<net::DataCenter> dcs;
   idx = 0;
-  for (const auto& d : doc.at("data_centers").as_array()) {
+  for (const View d : doc.at("data_centers").as_array()) {
     const std::string where = "data_centers[" + std::to_string(idx++) + "]";
     dcs.push_back(net::DataCenter{
         static_cast<net::NodeId>(checked_index(d, where, nodes, "nodes"))});
@@ -172,7 +162,7 @@ Instance instance_from_any(const Doc& doc) {
                 {}};
 
   idx = 0;
-  for (const auto& p : doc.at("providers").as_array()) {
+  for (const View p : doc.at("providers").as_array()) {
     const std::string where = "providers[" + std::to_string(idx++) + "]";
     ServiceProvider sp;
     sp.compute_per_request =
@@ -199,14 +189,14 @@ Instance instance_from_any(const Doc& doc) {
     inst.providers.push_back(sp);
   }
 
-  const auto& cost = doc.at("cost");
+  const View cost = doc.at("cost");
   idx = 0;
-  for (const auto& a : cost.at("alpha").as_array()) {
+  for (const View a : cost.at("alpha").as_array()) {
     inst.cost.alpha.push_back(
         checked_nonneg(a, "cost.alpha[" + std::to_string(idx++) + "]"));
   }
   idx = 0;
-  for (const auto& b : cost.at("beta").as_array()) {
+  for (const View b : cost.at("beta").as_array()) {
     inst.cost.beta.push_back(
         checked_nonneg(b, "cost.beta[" + std::to_string(idx++) + "]"));
   }
@@ -230,8 +220,6 @@ Instance instance_from_any(const Doc& doc) {
       congestion_kind_from_name(cost.string_at("congestion"));
   return inst;
 }
-
-}  // namespace
 
 JsonValue instance_to_json(const Instance& inst) {
   JsonObject root;
@@ -285,16 +273,11 @@ JsonValue instance_to_json(const Instance& inst) {
 }
 
 Instance instance_from_json(const JsonValue& doc) {
-  return instance_from_any(doc);
-}
-
-Instance instance_from_arena(const util::JsonArena::View& doc) {
-  return instance_from_any(doc);
+  return instance_from_arena(util::JsonArena::from_json_value(doc).root());
 }
 
 Instance instance_from_json_text(std::string_view text) {
-  const util::JsonArena arena = util::parse_json_arena(text);
-  return instance_from_any(arena.root());
+  return instance_from_arena(util::parse_json_arena(text).root());
 }
 
 JsonValue assignment_to_json(const Assignment& a) {
@@ -312,22 +295,26 @@ JsonValue assignment_to_json(const Assignment& a) {
 }
 
 Assignment assignment_from_json(const Instance& inst, const JsonValue& doc) {
-  const JsonArray& choices = doc.at("choices").as_array();
+  const util::JsonArena arena = util::JsonArena::from_json_value(doc);
+  const auto choices = arena.root().at("choices").as_array();
   if (choices.size() != inst.provider_count()) {
     throw std::invalid_argument("io: profile size mismatch");
   }
   Assignment a(inst);
-  for (ProviderId l = 0; l < choices.size(); ++l) {
-    if (choices[l].is_null()) continue;  // remote
-    const std::string where = "choices[" + std::to_string(l) + "]";
-    const std::size_t c = checked_index(choices[l], where,
-                                        inst.cloudlet_count(), "cloudlets");
-    if (!a.can_move(l, c)) {
-      reject(where, "placing provider " + std::to_string(l) +
-                        " on cloudlet " + std::to_string(c) +
-                        " violates its capacities");
+  ProviderId l = 0;
+  for (const View choice : choices) {
+    if (!choice.is_null()) {  // null = remote
+      const std::string where = "choices[" + std::to_string(l) + "]";
+      const std::size_t c = checked_index(choice, where,
+                                          inst.cloudlet_count(), "cloudlets");
+      if (!a.can_move(l, c)) {
+        reject(where, "placing provider " + std::to_string(l) +
+                          " on cloudlet " + std::to_string(c) +
+                          " violates its capacities");
+      }
+      a.move(l, c);
     }
-    a.move(l, c);
+    ++l;
   }
   return a;
 }

@@ -25,20 +25,19 @@ inline constexpr int kIoFormatVersion = 1;
 /// constants).
 util::JsonValue instance_to_json(const Instance& inst);
 
-/// Rebuilds an instance. Throws util::JsonError on malformed documents and
+/// Rebuilds an instance from a parsed document. Throws util::JsonError on
+/// malformed documents (missing keys, wrongly typed values) and
 /// std::invalid_argument on semantically invalid ones (bad ids, negative
-/// capacities, unknown congestion kind, version mismatch).
-Instance instance_from_json(const util::JsonValue& doc);
-
-/// Arena-path equivalent of instance_from_json. Both decoders are one
-/// template instantiated for the two document types, so validation rules
-/// and error messages are identical by construction.
+/// or non-finite capacities, unknown congestion kind, version mismatch).
 Instance instance_from_arena(const util::JsonArena::View& doc);
 
-/// Bytes → Instance through the arena hot path: no DOM is materialized.
-/// Throws util::JsonError on malformed JSON (same offsets/messages as
-/// parse_json) and std::invalid_argument on semantically invalid documents
-/// (same messages as instance_from_json).
+/// instance_from_arena over a JsonValue tree (copied into an arena first),
+/// for tests and callers that hold a built document.
+Instance instance_from_json(const util::JsonValue& doc);
+
+/// Bytes → Instance: parse_json_arena plus instance_from_arena, with no
+/// JsonValue tree in between. Throws util::JsonError on malformed JSON and
+/// the errors of instance_from_arena otherwise.
 Instance instance_from_json_text(std::string_view text);
 
 /// Serializes a strategy profile together with its cost summary.

@@ -8,6 +8,7 @@
 #include "core/lcf.h"
 #include "core/social_optimum.h"
 #include "util/json.h"
+#include "util/json_arena.h"
 #include "util/timer.h"
 
 namespace mecsc::core {
@@ -25,43 +26,18 @@ bool solver_algorithm_known(const std::string& name) {
   return false;
 }
 
-namespace {
-
-/// Shared semantic decode; see the header note on the two overloads.
-template <class Doc>
-SolveSpec solve_spec_from_any(const Doc& doc) {
+SolveSpec solve_spec_from_arena(const util::JsonArena::View& doc) {
   SolveSpec spec;
   if (doc.contains("algorithm")) {
-    spec.algorithm = std::string(doc.at("algorithm").as_string());
+    spec.algorithm = std::string(util::field_string(doc, "algorithm"));
   }
-  if (doc.contains("one_minus_xi")) {
-    const auto& v = doc.at("one_minus_xi");
-    if (!v.is_number()) {
-      throw std::invalid_argument("field \"one_minus_xi\" must be a number");
-    }
-    spec.one_minus_xi = v.as_number();
-  }
+  spec.one_minus_xi =
+      util::field_number(doc, "one_minus_xi", spec.one_minus_xi);
   if (!solver_algorithm_known(spec.algorithm)) {
     throw std::invalid_argument("unknown algorithm \"" + spec.algorithm +
                                 "\"");
   }
   return spec;
-}
-
-}  // namespace
-
-SolveSpec solve_spec_from_json(const util::JsonValue& doc) {
-  return solve_spec_from_any(doc);
-}
-
-SolveSpec solve_spec_from_arena(const util::JsonArena::View& doc) {
-  return solve_spec_from_any(doc);
-}
-
-SolveSpec decode_solve_spec(const char* data, std::size_t size) {
-  const util::JsonArena arena =
-      util::parse_json_arena(std::string_view(data, size));
-  return solve_spec_from_any(arena.root());
 }
 
 std::string SolveSpec::cache_key() const {

@@ -10,14 +10,12 @@
 // those two).
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "core/assignment.h"
 #include "core/instance.h"
 #include "obs/profiler.h"
-#include "util/json.h"
 #include "util/json_arena.h"
 
 namespace mecsc::core {
@@ -58,19 +56,13 @@ const std::vector<std::string>& solver_algorithm_names();
 bool solver_algorithm_known(const std::string& name);
 
 /// Decodes the solve-spec fields of a request document: "algorithm" (must
-/// name a known solver) and "one_minus_xi" (must be a number); absent
-/// fields keep the SolveSpec defaults, extra fields are ignored. Both
-/// overloads are one template instantiated for the two document types, so
-/// the DOM and arena request paths of the service validate identically by
-/// construction. Throws std::invalid_argument / util::JsonError with the
-/// messages the service maps to "bad_request".
-SolveSpec solve_spec_from_json(const util::JsonValue& doc);
+/// be a string naming a known solver) and "one_minus_xi" (must be a
+/// number); absent fields keep the SolveSpec defaults, extra fields are
+/// ignored. Fields are read with util::field_string / field_number, so a
+/// wrongly typed one is reported as the service reports any request field.
+/// Throws std::invalid_argument with the messages the service maps to
+/// "bad_request".
 SolveSpec solve_spec_from_arena(const util::JsonArena::View& doc);
-
-/// Pull-style decoder for the serving hot path: raw request bytes →
-/// SolveSpec through the arena parser, no DOM materialized. Accepts
-/// exactly what solve_spec_from_json(parse_json(...)) accepts.
-SolveSpec decode_solve_spec(const char* data, std::size_t size);
 
 /// Per-call observability plumbing for run_solver. Carried separately
 /// from SolveSpec on purpose: nothing here may influence the result (or

@@ -62,11 +62,11 @@ class GaugeGuard {
 
 /// Splices `,"key":<value_json>` immediately before the final '}' of a
 /// serialized JSON object, exploiting the protocol's last-duplicate-wins
-/// rule (util/json_arena.h): both parse paths resolve duplicate object
-/// keys to the final occurrence, so the spliced field overrides any
-/// earlier one without re-serializing the line. `value_json` must be a
-/// complete JSON value; key and value are router-minted (safe charset),
-/// never client bytes.
+/// rule (util/json_arena.h): the parser resolves duplicate object keys to
+/// the final occurrence, so the spliced field overrides any earlier one
+/// without re-serializing the line. `value_json` must be a complete JSON
+/// value; key and value are router-minted (safe charset), never client
+/// bytes.
 void splice_field(std::string& line, const std::string& key,
                   const std::string& value_json) {
   const std::size_t brace = line.rfind('}');
@@ -80,60 +80,6 @@ void splice_field(std::string& line, const std::string& key,
   const bool empty_object = prev > 0 && line[prev - 1] == '{';
   line.insert(brace, (empty_object ? "\"" : ",\"") + key + "\":" + value_json);
 }
-
-/// Minimal request view over either parse path — the router needs the
-/// envelope fields and the canonical instance bytes, never a decode (the
-/// whole point: digest extraction costs one parse, zero DOM, zero
-/// Instance construction on the arena path).
-class RouteDoc {
- public:
-  static RouteDoc parse(const std::string& line, bool use_arena) {
-    RouteDoc doc;
-    if (use_arena) {
-      doc.arena_ = util::parse_json_arena(line);
-    } else {
-      doc.dom_ = util::parse_json(line);
-    }
-    return doc;
-  }
-
-  bool is_object() const {
-    return arena() ? arena_.root().is_object() : dom_.is_object();
-  }
-  bool contains(const std::string& key) const {
-    return arena() ? arena_.root().contains(key) : dom_.contains(key);
-  }
-  JsonValue id() const {
-    return arena() ? arena_.root().at("id").to_json_value() : dom_.at("id");
-  }
-  bool field_is_string(const std::string& key) const {
-    return arena() ? arena_.root().at(key).is_string()
-                   : dom_.at(key).is_string();
-  }
-  std::string string_field(const std::string& key) const {
-    if (!field_is_string(key))
-      throw std::invalid_argument("field \"" + key + "\" must be a string");
-    return arena() ? std::string(arena_.root().at(key).as_string())
-                   : dom_.at(key).as_string();
-  }
-  bool instance_is_object() const {
-    return arena() ? arena_.root().at("instance").is_object()
-                   : dom_.at("instance").is_object();
-  }
-  /// Canonical dump of the "instance" subtree — byte-identical across
-  /// parse paths (the parity contract), hence digest-identical with the
-  /// backend's cache-key digest of the same request.
-  std::string instance_canonical() const {
-    return arena() ? arena_.root().at("instance").dump()
-                   : dom_.at("instance").dump();
-  }
-
- private:
-  bool arena() const { return !arena_.empty(); }
-
-  JsonValue dom_;
-  util::JsonArena arena_;
-};
 
 obs::ServiceTelemetry::Options telemetry_options(const RouterOptions& o) {
   obs::ServiceTelemetry::Options t;
@@ -439,27 +385,31 @@ void Router::process_line(const svc::ConnectionPtr& conn, std::string line,
   bool forwarded_request = false;
   bool spilled = false;
   try {
-    RouteDoc request;
+    // The router needs the envelope fields and the canonical instance
+    // bytes, never a decode: digest extraction costs one parse and no
+    // Instance construction.
+    util::JsonArena arena;
     {
       const util::Timer parse_timer;
       try {
-        request = RouteDoc::parse(line, options_.use_arena_parser);
+        arena = util::parse_json_arena(line);
       } catch (const util::JsonError& e) {
         throw std::runtime_error(std::string("parse_error: ") + e.what());
       }
       event.parse_ms = parse_timer.elapsed_ms();
       metrics.wall_duration_record("wall_route_parse_ms", event.parse_ms);
     }
+    const util::JsonArena::View request = arena.root();
     if (!request.is_object())
       throw std::invalid_argument("request must be a JSON object");
-    if (request.contains("id")) id = request.id();
+    if (request.contains("id")) id = request.at("id").to_json_value();
     const bool client_sent_request_id = request.contains("request_id");
     if (client_sent_request_id)
-      request_id = request.string_field("request_id");
+      request_id = util::field_string(request, "request_id");
     if (request_id.empty()) request_id = next_request_id();
     if (!request.contains("type"))
       throw std::invalid_argument("request needs a \"type\" field");
-    const std::string type = request.string_field("type");
+    const std::string type(util::field_string(request, "type"));
     event.type = type;
 
     // Trace context: same resolution as the backend (adopt a well-formed
@@ -469,9 +419,9 @@ void Router::process_line(const svc::ConnectionPtr& conn, std::string line,
     {
       obs::TraceContext tctx;
       if (request.contains("traceparent") &&
-          request.field_is_string("traceparent")) {
-        if (auto parsed =
-                obs::TraceContext::parse(request.string_field("traceparent")))
+          request.at("traceparent").is_string()) {
+        if (auto parsed = obs::TraceContext::parse(
+                std::string(request.at("traceparent").as_string())))
           tctx = *parsed;
       }
       if (!tctx.valid()) {
@@ -548,7 +498,7 @@ void Router::process_line(const svc::ConnectionPtr& conn, std::string line,
       if (!request.contains("backend"))
         throw std::invalid_argument(
             "drain_backend needs a \"backend\" (name) field");
-      const std::string name = request.string_field("backend");
+      const std::string name(util::field_string(request, "backend"));
       if (!drain_backend(name))
         throw std::invalid_argument(
             "cannot drain \"" + name +
@@ -585,14 +535,17 @@ void Router::process_line(const svc::ConnectionPtr& conn, std::string line,
       // else lands on the empty-digest owner — placement stays a pure
       // function of the request bytes either way.
       std::string digest;
-      if (request.contains("instance") && request.instance_is_object()) {
+      if (request.contains("instance") && request.at("instance").is_object()) {
+        // The canonical dump is the backend's cache-key input, so the
+        // digest here equals the backend's digest of the same request.
         trace->begin("route.digest");
-        digest = obs::fnv1a64_hex(request.instance_canonical());
+        digest = obs::fnv1a64_hex(request.at("instance").dump());
         trace->end();
         event.instance_digest = digest;
       }
-      if (request.contains("algorithm") && request.field_is_string("algorithm"))
-        event.algorithm = request.string_field("algorithm");
+      // Logged only; a wrongly typed algorithm is the backend's to reject.
+      if (request.contains("algorithm") && request.at("algorithm").is_string())
+        event.algorithm = request.at("algorithm").as_string();
 
       // The forwarded line: the raw client bytes plus (a) the resolved
       // request_id when the client sent none — so the backend's wide

@@ -13,7 +13,7 @@
 //
 // The router never decodes an instance and never re-serializes a request
 // or response: field injection exploits the protocol's last-duplicate-
-// wins rule (util/json_arena.h — both parsers resolve duplicate object
+// wins rule (util/json_arena.h — the parser resolves duplicate object
 // keys to the final occurrence), so appending `,"key":value` before the
 // closing '}' of a line overrides the field without touching the rest of
 // the bytes.
@@ -70,10 +70,6 @@ struct RouterOptions {
   /// The topology. At least one backend; see ShardMap for the hash
   /// identity rules.
   std::vector<BackendSpec> backends;
-
-  /// Digest extraction parse path (mirrors ServerOptions::use_arena_parser):
-  /// arena is the hot path, DOM the differential-testing reference.
-  bool use_arena_parser = true;
 
   /// Health-probe sweep period; <= 0 disables the prober (forward
   /// failures still mark backends unhealthy, but nothing marks them

@@ -68,117 +68,6 @@ JsonObject ok_envelope(const JsonValue& id, const std::string& type,
   return response;
 }
 
-/// Optional typed fields with defaults, shared by both parse paths (one
-/// template over the document type, so the error strings cannot drift).
-template <class Doc>
-double require_number(const Doc& request, const std::string& key,
-                      double fallback) {
-  if (!request.contains(key)) return fallback;
-  const auto& v = request.at(key);
-  if (!v.is_number())
-    throw std::invalid_argument("field \"" + key + "\" must be a number");
-  return v.as_number();
-}
-
-template <class Doc>
-bool require_bool(const Doc& request, const std::string& key, bool fallback) {
-  if (!request.contains(key)) return fallback;
-  const auto& v = request.at(key);
-  if (!v.is_bool())
-    throw std::invalid_argument("field \"" + key + "\" must be a boolean");
-  return v.as_bool();
-}
-
-template <class Doc>
-std::string require_string(const Doc& request, const std::string& key) {
-  const auto& v = request.at(key);
-  if (!v.is_string())
-    throw std::invalid_argument("field \"" + key + "\" must be a string");
-  return std::string(v.as_string());
-}
-
-/// One parsed request line through either parse path. Protocol handling in
-/// process() is written once against this adapter; only these leaf
-/// accessors dispatch on the mode. Arena mode is the hot path — the line
-/// lands in two contiguous buffers, strings decode in situ, and the
-/// instance subtree decodes straight to core::Instance with no DOM. DOM
-/// mode is the reference implementation the parity gate compares against
-/// (tests/test_svc_parser_parity.cpp, mecsc_serve --parser dom).
-class RequestDoc {
- public:
-  RequestDoc() = default;
-
-  static RequestDoc parse(const std::string& line, bool use_arena) {
-    RequestDoc doc;
-    if (use_arena) {
-      doc.arena_ = util::parse_json_arena(line);
-    } else {
-      doc.dom_ = util::parse_json(line);
-    }
-    return doc;
-  }
-
-  bool is_object() const {
-    return arena() ? arena_.root().is_object() : dom_.is_object();
-  }
-  bool contains(const std::string& key) const {
-    return arena() ? arena_.root().contains(key) : dom_.contains(key);
-  }
-  /// Request id as a DOM value for the response envelope (ids are tiny).
-  JsonValue id() const {
-    return arena() ? arena_.root().at("id").to_json_value() : dom_.at("id");
-  }
-  std::string type() const {
-    return arena() ? std::string(arena_.root().at("type").as_string())
-                   : dom_.at("type").as_string();
-  }
-  double number_field(const std::string& key, double fallback) const {
-    return arena() ? require_number(arena_.root(), key, fallback)
-                   : require_number(dom_, key, fallback);
-  }
-  bool bool_field(const std::string& key, bool fallback) const {
-    return arena() ? require_bool(arena_.root(), key, fallback)
-                   : require_bool(dom_, key, fallback);
-  }
-  /// Only call when contains(key); the field must be a string.
-  std::string string_field(const std::string& key) const {
-    return arena() ? require_string(arena_.root(), key)
-                   : require_string(dom_, key);
-  }
-  /// Only call when contains(key). Lets lenient fields (traceparent, which
-  /// W3C says to ignore when malformed) avoid the require_string throw.
-  bool field_is_string(const std::string& key) const {
-    return arena() ? arena_.root().at(key).is_string()
-                   : dom_.at(key).is_string();
-  }
-  /// Only call when contains("instance").
-  bool instance_is_object() const {
-    return arena() ? arena_.root().at("instance").is_object()
-                   : dom_.at("instance").is_object();
-  }
-  /// Canonical dump of the "instance" subtree — the cache-digest input.
-  /// Byte-identical across modes (the parity contract in json_arena.h),
-  /// so a cache populated under one parser serves hits under the other.
-  std::string instance_canonical() const {
-    return arena() ? arena_.root().at("instance").dump()
-                   : dom_.at("instance").dump();
-  }
-  core::Instance decode_instance() const {
-    return arena() ? core::instance_from_arena(arena_.root().at("instance"))
-                   : core::instance_from_json(dom_.at("instance"));
-  }
-  core::SolveSpec solve_spec() const {
-    return arena() ? core::solve_spec_from_arena(arena_.root())
-                   : core::solve_spec_from_json(dom_);
-  }
-
- private:
-  bool arena() const { return !arena_.empty(); }
-
-  JsonValue dom_;
-  util::JsonArena arena_;
-};
-
 /// Deadline carried by one request. A request-supplied deadline_ms of 0 is
 /// already expired on arrival — the deterministic way to exercise the
 /// deadline path in tests.
@@ -191,10 +80,11 @@ struct Deadline {
   }
 };
 
-Deadline deadline_of(const RequestDoc& request, double default_deadline_ms) {
+Deadline deadline_of(const util::JsonArena::View& request,
+                     double default_deadline_ms) {
   Deadline d;
   if (request.contains("deadline_ms")) {
-    const double ms = request.number_field("deadline_ms", 0.0);
+    const double ms = util::field_number(request, "deadline_ms", 0.0);
     if (ms < 0.0)
       throw std::invalid_argument("field \"deadline_ms\" must be >= 0");
     d.enabled = true;
@@ -433,13 +323,15 @@ void SolverServer::process(Job job, std::uint32_t worker_ordinal) {
   bool ok = false;
   bool was_deadline = false;
   try {
-    RequestDoc request;
+    // The line lands in two contiguous buffers, strings decode in situ,
+    // and the instance subtree decodes straight to core::Instance.
+    util::JsonArena arena;
     {
       MECSC_PROFILE_SCOPE("svc.parse");
       parse_start_ms = job.admitted.elapsed_ms();
       const util::Timer parse_timer;
       try {
-        request = RequestDoc::parse(job.line, options_.use_arena_parser);
+        arena = util::parse_json_arena(job.line);
       } catch (const util::JsonError& e) {
         throw std::runtime_error(std::string("parse_error: ") + e.what());
       }
@@ -448,15 +340,16 @@ void SolverServer::process(Job job, std::uint32_t worker_ordinal) {
       metrics.counter_add("svc.parse_bytes",
                           static_cast<std::int64_t>(job.line.size()));
     }
+    const util::JsonArena::View request = arena.root();
     if (!request.is_object())
       throw std::invalid_argument("request must be a JSON object");
-    if (request.contains("id")) id = request.id();
+    if (request.contains("id")) id = request.at("id").to_json_value();
     if (request.contains("request_id"))
-      request_id = request.string_field("request_id");
+      request_id = util::field_string(request, "request_id");
     if (request_id.empty()) request_id = next_request_id();
     if (!request.contains("type"))
       throw std::invalid_argument("request needs a \"type\" field");
-    const std::string type = request.type();
+    const std::string type(util::field_string(request, "type"));
     event.type = type;
 
     // Resolve the trace context: adopt the client's traceparent when
@@ -467,9 +360,9 @@ void SolverServer::process(Job job, std::uint32_t worker_ordinal) {
     {
       obs::TraceContext tctx;
       if (request.contains("traceparent") &&
-          request.field_is_string("traceparent")) {
-        if (auto parsed =
-                obs::TraceContext::parse(request.string_field("traceparent")))
+          request.at("traceparent").is_string()) {
+        if (auto parsed = obs::TraceContext::parse(
+                std::string(request.at("traceparent").as_string())))
           tctx = *parsed;
       }
       if (!tctx.valid()) {
@@ -569,35 +462,36 @@ void SolverServer::process(Job job, std::uint32_t worker_ordinal) {
         was_deadline = true;
         throw std::runtime_error("deadline expired while queued");
       }
-      if (!request.contains("instance") || !request.instance_is_object())
+      if (!request.contains("instance") || !request.at("instance").is_object())
         throw std::invalid_argument(
             "request needs an \"instance\" object (core/io.h document)");
+      const util::JsonArena::View instance = request.at("instance");
       const std::string instance_bytes = [&] {
         // Canonical dump + digest are a real slice of large-instance
         // latency; giving them a span keeps the trace gap-free.
         MECSC_PROFILE_SCOPE("svc.digest");
-        return request.instance_canonical();
+        return instance.dump();
       }();
-      const bool use_cache = request.bool_field("cache", true);
+      const bool use_cache = util::field_bool(request, "cache", true);
 
       std::string task_key;
       core::SolveSpec spec;
       core::PoaOptions poa_options;
       std::uint64_t poa_seed = 0;
       if (type == "solve") {
-        spec = request.solve_spec();
+        spec = core::solve_spec_from_arena(request);
         task_key = spec.cache_key();
         event.algorithm = spec.algorithm;
       } else {
         poa_options.coordinated_fraction =
-            request.number_field("coordinated_fraction", 0.0);
-        const double restarts = request.number_field("restarts", 30.0);
+            util::field_number(request, "coordinated_fraction", 0.0);
+        const double restarts = util::field_number(request, "restarts", 30.0);
         if (restarts < 1.0 || restarts != static_cast<double>(
                                               static_cast<std::size_t>(restarts)))
           throw std::invalid_argument(
               "field \"restarts\" must be a positive integer");
         poa_options.restarts = static_cast<std::size_t>(restarts);
-        const double seed = request.number_field("seed", 1.0);
+        const double seed = util::field_number(request, "seed", 1.0);
         if (seed < 0.0)
           throw std::invalid_argument("field \"seed\" must be >= 0");
         poa_seed = static_cast<std::uint64_t>(seed);
@@ -635,12 +529,11 @@ void SolverServer::process(Job job, std::uint32_t worker_ordinal) {
         bool published = false;
         try {
           const core::Instance inst = [&] {
-            // Arena mode decodes the request subtree straight to an
-            // Instance; DOM mode decodes the already-parsed subtree. No
-            // re-parse of instance_bytes on either path.
+            // Decodes the already-parsed subtree; no re-parse of
+            // instance_bytes.
             MECSC_PROFILE_SCOPE("svc.decode_instance");
             const util::Timer decode_timer;
-            core::Instance decoded = request.decode_instance();
+            core::Instance decoded = core::instance_from_arena(instance);
             event.decode_ms = decode_timer.elapsed_ms();
             metrics.wall_duration_record("wall_svc_decode_instance_ms",
                                          event.decode_ms);

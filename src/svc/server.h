@@ -73,14 +73,6 @@ struct ServerOptions {
   /// Applied when a request carries no deadline_ms; <= 0 means none.
   double default_deadline_ms = 0.0;
 
-  /// Request parse path: true (default) decodes through the arena parser
-  /// (util/json_arena.h, the zero-DOM hot path); false uses the DOM
-  /// reference parser. Responses are byte-identical either way — the
-  /// parity contract in json_arena.h — so the switch exists for
-  /// differential testing and as an operational escape hatch
-  /// (mecsc_serve --parser dom).
-  bool use_arena_parser = true;
-
   /// Wide-event request log: one JSON-lines record per request (schema in
   /// obs/telemetry.h RequestEvent). Empty disables logging.
   std::string request_log_path;

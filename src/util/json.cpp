@@ -1,6 +1,5 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -178,283 +177,6 @@ std::string JsonValue::dump(int indent) const {
   d.indent = indent;
   d.dump(*this, 0);
   return std::move(d.os);
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class Parser {
- public:
-  Parser(const std::string& text, const JsonParseLimits& limits)
-      : text_(text), limits_(limits) {}
-
-  JsonValue parse_document() {
-    skip_ws();
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  const std::string& text_;
-  const JsonParseLimits& limits_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw JsonError(
-        "json parse error at offset " + std::to_string(pos_) + ": " + what,
-        pos_);
-  }
-
-  /// RAII depth guard: containers nest through parse_value() recursion, so
-  /// bounding the depth bounds the parser's own stack usage against
-  /// adversarial input like "[[[[[…".
-  struct DepthGuard {
-    Parser& p;
-    explicit DepthGuard(Parser& parser) : p(parser) {
-      if (++p.depth_ > p.limits_.max_depth) {
-        p.fail("nesting deeper than " + std::to_string(p.limits_.max_depth) +
-               " levels");
-      }
-    }
-    ~DepthGuard() { --p.depth_; }
-    DepthGuard(const DepthGuard&) = delete;
-    DepthGuard& operator=(const DepthGuard&) = delete;
-  };
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, len, lit) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue(parse_string());
-    if (c == 't') {
-      if (consume_literal("true")) return JsonValue(true);
-      fail("bad literal");
-    }
-    if (c == 'f') {
-      if (consume_literal("false")) return JsonValue(false);
-      fail("bad literal");
-    }
-    if (c == 'n') {
-      if (consume_literal("null")) return JsonValue(nullptr);
-      fail("bad literal");
-    }
-    return parse_number();
-  }
-
-  JsonValue parse_object() {
-    DepthGuard depth(*this);
-    expect('{');
-    JsonObject o;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue(std::move(o));
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      o[std::move(key)] = parse_value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return JsonValue(std::move(o));
-    }
-  }
-
-  JsonValue parse_array() {
-    DepthGuard depth(*this);
-    expect('[');
-    JsonArray a;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue(std::move(a));
-    }
-    while (true) {
-      a.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return JsonValue(std::move(a));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // the interchange format never emits them).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("bad escape character");
-      }
-    }
-  }
-
-  bool digit_at(std::size_t i) const {
-    return i < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[i])) != 0;
-  }
-
-  /// Strict RFC 8259 number grammar: [-] int [frac] [exp], where int has
-  /// no leading zero. Scanning the grammar explicitly (instead of trusting
-  /// std::stod to reject the tail) keeps locale-dependent and non-JSON
-  /// spellings — "inf", "nan", hex floats, "1.", ".5", "01" — off the
-  /// network boundary.
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digit_at(pos_)) fail("expected a value");
-    if (text_[pos_] == '0') {
-      ++pos_;
-      if (digit_at(pos_)) fail("number has a leading zero");
-    } else {
-      while (digit_at(pos_)) ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digit_at(pos_)) fail("expected digits after decimal point");
-      while (digit_at(pos_)) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (!digit_at(pos_)) fail("expected digits in exponent");
-      while (digit_at(pos_)) ++pos_;
-    }
-    if (pos_ - start > limits_.max_number_length) {
-      pos_ = start;
-      fail("number longer than " +
-           std::to_string(limits_.max_number_length) + " characters");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    try {
-      const double d = std::stod(token);
-      if (!std::isfinite(d)) {
-        pos_ = start;
-        fail("number outside double range '" + token + "'");
-      }
-      return JsonValue(d);
-    } catch (const std::logic_error&) {
-      // invalid_argument cannot happen after the grammar scan;
-      // out_of_range means the magnitude does not fit a double.
-      pos_ = start;
-      fail("number outside double range '" + token + "'");
-    }
-  }
-};
-
-}  // namespace
-
-JsonValue parse_json(const std::string& text, const JsonParseLimits& limits) {
-  Parser p(text, limits);
-  return p.parse_document();
 }
 
 }  // namespace mecsc::util

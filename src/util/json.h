@@ -1,10 +1,15 @@
-// Minimal JSON value model, parser, and serializer.
+// JSON value model and serializer.
 //
 // Substrate for the instance/solution interchange format (core/io.h) and
 // the mecsc CLI: experiments can be generated once, solved by different
 // algorithm configurations, and evaluated elsewhere. Self-contained (no
 // third-party dependency), supports the full JSON grammar except for
 // numbers outside double range.
+//
+// JsonValue is the builder and serializer: responses, BENCH records and
+// CLI artifacts are assembled as JsonValue trees and dumped. There is one
+// parser, the arena parser in util/json_arena.h; parse_json below runs it
+// and materializes the result as a JsonValue.
 #pragma once
 
 #include <cstddef>
@@ -98,10 +103,13 @@ class JsonValue {
 
 /// Hard limits applied while parsing. The defaults are far above anything
 /// the interchange format produces but small enough that adversarial input
-/// arriving over the solver-service socket (src/svc/) cannot blow the
-/// parser's recursion stack or stall it with pathological tokens.
+/// arriving over the solver-service socket (src/svc/) cannot stall the
+/// parser with pathological tokens or nest deeper than the code that walks
+/// a parsed document can follow.
 struct JsonParseLimits {
-  /// Maximum container nesting depth ([[ or {{ counts as 2).
+  /// Maximum container nesting depth ([[ or {{ counts as 2). A safety
+  /// bound: the parser itself is iterative, but View::to_json_value() and
+  /// both dumpers recurse once per level.
   std::size_t max_depth = 128;
   /// Maximum characters in one number token. RFC 8259 numbers that carry
   /// full double precision fit in ~25 characters; longer tokens are either
@@ -109,18 +117,22 @@ struct JsonParseLimits {
   std::size_t max_number_length = 64;
 };
 
-/// Parses a complete JSON document; throws JsonError carrying the byte
-/// offset of the first problem (also spelled out in the message). Trailing
-/// non-whitespace is an error, as are documents exceeding `limits`.
-/// Numbers follow the strict RFC 8259 grammar: no leading zeros, no bare
-/// '.', no 'inf'/'nan', and a finite double value.
+/// Parses a complete JSON document into a JsonValue: parse_json_arena
+/// (util/json_arena.h) followed by View::to_json_value(), so it accepts,
+/// rejects and reports exactly as the arena parser does. Throws JsonError
+/// carrying the byte offset of the first problem (also spelled out in the
+/// message). Trailing non-whitespace is an error, as are documents
+/// exceeding `limits`. Numbers follow the strict RFC 8259 grammar: no
+/// leading zeros, no bare '.', no 'inf'/'nan', and a finite double value.
+/// Defined in json_arena.cpp.
 JsonValue parse_json(const std::string& text,
                      const JsonParseLimits& limits = {});
 
-/// Canonical string escaping shared by every JSON serializer in the tree
+/// Canonical string escaping shared by both JSON serializers in the tree
 /// (JsonValue::dump and the arena dump in util/json_arena.h must emit
-/// byte-identical output — the service's digest-keyed cache depends on
-/// it). Appends the quoted, escaped spelling of `s` to `out`.
+/// byte-identical output — responses are built with the first, and the
+/// service digests instance subtrees with the second). Appends the
+/// quoted, escaped spelling of `s` to `out`.
 void json_append_escaped(std::string& out, std::string_view s);
 
 /// Canonical number formatting for the same contract: integral values

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace mecsc::util {
@@ -15,8 +16,7 @@ namespace {
 using Type = JsonArenaNode::Type;
 
 [[noreturn]] void type_error(const char* want) {
-  // Same spelling as the JsonValue accessors: decoding code templated over
-  // both document types must surface identical errors.
+  // Same spelling as the JsonValue accessors.
   throw JsonError(std::string("json: value is not ") + want);
 }
 
@@ -71,8 +71,8 @@ std::string_view JsonArena::View::key() const {
 
 JsonArena::View JsonArena::View::at(std::string_view key) const {
   if (!is_object()) type_error("an object");
-  // Duplicate keys resolve to the last occurrence — the value std::map
-  // assignment keeps on the DOM path, so both paths decode the same data.
+  // Duplicate keys resolve to the last occurrence — the member dump() and
+  // to_json_value() keep, so decoders read the data the digest covers.
   View match;
   bool found = false;
   for (const View member : as_object()) {
@@ -108,9 +108,9 @@ JsonArena::View JsonArena::View::ChildRange::operator[](std::size_t i) const {
 
 namespace {
 
-/// Mirrors the DOM Dumper (util/json.cpp) over cursors. Recursion depth is
-/// bounded by the max_depth enforced at parse time, so — unlike parsing —
-/// recursing here cannot be driven arbitrarily deep by input.
+/// Mirrors the JsonValue Dumper (util/json.cpp) over cursors. Recursion
+/// depth is bounded by the max_depth enforced at parse time, so — unlike
+/// parsing — recursing here cannot be driven arbitrarily deep by input.
 struct ArenaDumper {
   std::string os;
   int indent;
@@ -148,8 +148,8 @@ struct ArenaDumper {
       os += ']';
     } else {
       // Canonical member order: sorted by key, duplicates collapsed to the
-      // last occurrence — exactly what parsing into std::map produces on
-      // the DOM path.
+      // last occurrence — exactly what JsonValue's std::map holds after
+      // to_json_value().
       std::vector<JsonArena::View> members;
       members.reserve(v.size());
       for (const JsonArena::View member : v.as_object()) {
@@ -206,7 +206,7 @@ JsonValue JsonArena::View::to_json_value() const {
   JsonObject o;
   for (const View member : as_object()) {
     // Assignment, not emplace: duplicate keys keep the last value, same as
-    // the DOM parser.
+    // at() and dump().
     o[std::string(member.key())] = member.to_json_value();
   }
   return JsonValue(std::move(o));
@@ -272,8 +272,8 @@ int bit_width_u128(unsigned __int128 v) {
 /// normal — so no overflow, underflow, or subnormal case can arise here;
 /// every such input takes the slow path instead. Correct rounding is also
 /// what glibc's strtod guarantees, which makes this path bit-identical to
-/// the DOM converter (a requirement: the canonical %.17g dump feeds the
-/// service cache digest).
+/// the std::stod fallback below (a requirement: the canonical %.17g dump
+/// feeds the service cache digest).
 double exact_scaled_decimal(std::uint64_t m, int e10) {
   unsigned __int128 n;
   int exp2;
@@ -308,11 +308,10 @@ double exact_scaled_decimal(std::uint64_t m, int e10) {
   return std::ldexp(static_cast<double>(keep), exp2 + drop);
 }
 
-/// Iterative in-situ parser. Every scanning decision — offsets consumed,
-/// error messages, limit checks — is a line-for-line port of the recursive
-/// DOM Parser in util/json.cpp; only value *construction* differs. When
-/// changing either parser, change both and re-run the shared corpora in
-/// tests/test_json.cpp (the parity gate).
+/// Iterative in-situ parser. The error offsets and messages it produces are
+/// part of the service's wire contract (parse_error responses); the
+/// malformed-input and strict-number corpora in tests/test_json.cpp pin
+/// them row by row.
 class ArenaParser {
  public:
   ArenaParser(std::string_view text, const JsonParseLimits& limits,
@@ -332,8 +331,8 @@ class ArenaParser {
 
  private:
   /// One open container during parsing: the node plus its trailing child
-  /// (for sibling linking). The stack replaces the DOM parser's recursion,
-  /// so adversarial nesting cannot exhaust the call stack.
+  /// (for sibling linking). The stack replaces recursion, so adversarial
+  /// nesting cannot exhaust the call stack.
   struct Open {
     std::uint32_t node;
     std::uint32_t last_child;
@@ -346,7 +345,7 @@ class ArenaParser {
   std::size_t size_ = 0;
   std::vector<Open> stack_;
   /// Reused number-token buffer: keeps std::stod's exact accept/reject
-  /// semantics (the DOM path's converter) without a per-token allocation.
+  /// semantics for the slow path without a per-token allocation.
   std::string number_buf_;
 
   char* data() { return scratch_.data(); }
@@ -438,8 +437,8 @@ class ArenaParser {
       skip_ws();
       const char c = peek();
       if (c == '{' || c == '[') {
-        // Depth check before consuming the bracket: the DOM DepthGuard
-        // fires at the offset of the offending opener, and so must this.
+        // Depth check before consuming the bracket, so the error carries
+        // the offset of the offending opener.
         if (stack_.size() + 1 > limits_.max_depth) {
           fail("nesting deeper than " + std::to_string(limits_.max_depth) +
                " levels");
@@ -517,8 +516,7 @@ class ArenaParser {
 
   /// Decodes a string token *in place*: the write cursor starts at the
   /// first content byte and every decoded form is no longer than its raw
-  /// spelling, so writes never overtake reads. Character-level logic and
-  /// error offsets are identical to the DOM parse_string.
+  /// spelling, so writes never overtake reads.
   void parse_string_in_situ(std::uint32_t& out_off, std::uint32_t& out_len) {
     expect('"');
     char* buf = data();
@@ -617,14 +615,16 @@ class ArenaParser {
     return i < size_ && data()[i] >= '0' && data()[i] <= '9';
   }
 
-  /// Strict RFC 8259 number grammar — the DOM parse_number verbatim — with
-  /// the mantissa and decimal exponent accumulated during the scan. Tokens
-  /// whose mantissa fits a uint64 with |e10| <= 27 (every token the
-  /// canonical %.17g/%lld serializer can emit) convert through the exact
-  /// integer rounder above; anything else — more than ~19 significant
-  /// digits, huge exponents, values near the double range limits — falls
-  /// back to the DOM's std::stod converter, keeping accept/reject behavior
-  /// and range-error offsets identical across paths by construction.
+  /// Strict RFC 8259 number grammar: [-] int [frac] [exp], where int has
+  /// no leading zero. Scanning the grammar explicitly (instead of trusting
+  /// std::stod to reject the tail) keeps locale-dependent and non-JSON
+  /// spellings — "inf", "nan", hex floats, "1.", ".5", "01" — off the
+  /// network boundary. The mantissa and decimal exponent accumulate during
+  /// the scan: tokens whose mantissa fits a uint64 with |e10| <= 27 (every
+  /// token the canonical %.17g/%lld serializer can emit) convert through
+  /// the exact integer rounder above; anything else — more than ~19
+  /// significant digits, huge exponents, values near the double range
+  /// limits — falls back to std::stod.
   double parse_number_token() {
     const std::size_t start = pos_;
     bool negative = false;
@@ -693,10 +693,9 @@ class ArenaParser {
     return convert_number_slow(start);
   }
 
-  /// The DOM converter — std::stod over a copied token — kept as the
-  /// reference semantics for tokens outside the fast path's envelope,
-  /// including its range rejections (overflow, and underflow-to-subnormal,
-  /// which glibc reports as out_of_range).
+  /// std::stod over a copied token, for tokens outside the fast path's
+  /// envelope, including its range rejections (overflow, and
+  /// underflow-to-subnormal, which glibc reports as out_of_range).
   double convert_number_slow(std::size_t start) {
     number_buf_.assign(data() + start, pos_ - start);
     try {
@@ -723,6 +722,113 @@ JsonArena parse_json_arena(std::string_view text,
   ArenaParser p(text, limits, arena.scratch_, arena.nodes_);
   p.parse_document();
   return arena;
+}
+
+JsonValue parse_json(const std::string& text, const JsonParseLimits& limits) {
+  return parse_json_arena(text, limits).root().to_json_value();
+}
+
+// ---------------------------------------------------------------------------
+// Building from a JsonValue
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Appends a JsonValue subtree to an arena's buffers in document order,
+/// linking containers exactly as the parser does.
+struct ArenaBuilder {
+  std::string& scratch;
+  std::vector<JsonArenaNode>& nodes;
+
+  std::uint32_t span(std::string_view text) {
+    const auto off = static_cast<std::uint32_t>(scratch.size());
+    scratch.append(text);
+    return off;
+  }
+
+  std::uint32_t add(const JsonValue& v, const std::string* key) {
+    JsonArenaNode n;
+    if (key != nullptr) {
+      n.key_off = span(*key);
+      n.key_len = static_cast<std::uint32_t>(key->size());
+    }
+    if (v.is_bool()) {
+      n.type = Type::Bool;
+      n.boolean = v.as_bool();
+    } else if (v.is_number()) {
+      n.type = Type::Number;
+      n.number = v.as_number();
+    } else if (v.is_string()) {
+      n.type = Type::String;
+      n.str = {span(v.as_string()),
+               static_cast<std::uint32_t>(v.as_string().size())};
+    } else if (v.is_array() || v.is_object()) {
+      n.type = v.is_array() ? Type::Array : Type::Object;
+      n.cont = {0, 0};
+    }
+    const auto idx = static_cast<std::uint32_t>(nodes.size());
+    nodes.push_back(n);
+    std::uint32_t last = 0;
+    const auto link = [&](std::uint32_t child) {
+      // Index, not reference: adding the child may have grown `nodes`.
+      if (nodes[idx].cont.count++ == 0) {
+        nodes[idx].cont.first = child;
+      } else {
+        nodes[last].next = child;
+      }
+      last = child;
+    };
+    if (v.is_array()) {
+      for (const JsonValue& elem : v.as_array()) link(add(elem, nullptr));
+    } else if (v.is_object()) {
+      for (const auto& [name, member] : v.as_object()) link(add(member, &name));
+    }
+    return idx;
+  }
+};
+
+}  // namespace
+
+JsonArena JsonArena::from_json_value(const JsonValue& value) {
+  JsonArena arena;
+  ArenaBuilder{arena.scratch_, arena.nodes_}.add(value, nullptr);
+  return arena;
+}
+
+// ---------------------------------------------------------------------------
+// Request-field readers
+// ---------------------------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void field_type_error(std::string_view key, const char* want) {
+  throw std::invalid_argument("field \"" + std::string(key) + "\" must be " +
+                              want);
+}
+
+}  // namespace
+
+std::string_view field_string(const JsonArena::View& object,
+                              std::string_view key) {
+  const JsonArena::View v = object.at(key);
+  if (!v.is_string()) field_type_error(key, "a string");
+  return v.as_string();
+}
+
+double field_number(const JsonArena::View& object, std::string_view key,
+                    double fallback) {
+  if (!object.contains(key)) return fallback;
+  const JsonArena::View v = object.at(key);
+  if (!v.is_number()) field_type_error(key, "a number");
+  return v.as_number();
+}
+
+bool field_bool(const JsonArena::View& object, std::string_view key,
+                bool fallback) {
+  if (!object.contains(key)) return fallback;
+  const JsonArena::View v = object.at(key);
+  if (!v.is_bool()) field_type_error(key, "a boolean");
+  return v.as_bool();
 }
 
 }  // namespace mecsc::util

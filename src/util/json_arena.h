@@ -1,38 +1,28 @@
-// Arena-backed, in-situ JSON parse path — the serving hot path's parser.
+// Arena-backed, in-situ JSON parser — the one parser in the tree.
 //
-// parse_json (util/json.h) builds a generic DOM: one heap allocation per
-// node (std::map members, std::string copies). That is the right reference
-// semantics for files and tests, but the solver service decodes a request
-// per line at the highest frequency of any code in the system, and the DOM
-// allocations dominate the decode profile. This header is the second parse
-// path: the whole document lands in two contiguous buffers —
+// The whole document lands in two contiguous buffers:
 //
 //   scratch_  one mutable copy of the input bytes; string tokens are
 //             escape-decoded *in place* (decoded text is never longer than
 //             its raw spelling), so string values are views into this
 //             buffer and never allocate;
-//   nodes_    a flat array of fixed-size nodes in document order, sized
-//             up front from a structural pre-scan so it never reallocates
-//             mid-parse. Containers link their children cjson-style: the
-//             parent holds the first-child index, each child the index of
-//             its next sibling (indices, not pointers, so the arena can
-//             move wholesale).
+//   nodes_    a flat array of fixed-size nodes in document order.
+//             Containers link their children cjson-style: the parent holds
+//             the first-child index, each child the index of its next
+//             sibling (indices, not pointers, so the arena can move
+//             wholesale and the array can grow mid-parse).
 //
 // Parsing is iterative (an explicit open-container stack), so adversarial
-// nesting cannot exhaust the call stack; JsonParseLimits::max_depth is
-// still enforced for *parity*, not safety.
+// nesting cannot exhaust the call stack. JsonParseLimits::max_depth still
+// bounds the nesting, because View::to_json_value() and both dumpers
+// recurse once per level. parse_json (util/json.h) is this parser followed
+// by View::to_json_value(), for callers that want an owned JsonValue tree.
 //
-// Parity contract with the DOM path (tested by the shared corpora in
-// tests/test_json.cpp and the differential suite in
-// tests/test_json_arena.cpp; documented in DESIGN.md):
-//   - identical accept/reject decisions on every input;
-//   - identical JsonError messages and byte offsets, including the strict
-//     RFC 8259 number grammar, the depth limit, and the number-length cap;
-//   - canonical re-serialization (dump()) is byte-identical with the
-//     JsonValue dump of the same document: members sorted by key, last
-//     duplicate wins, same escape and number formatting. The service's
-//     digest-keyed result cache relies on this — both parse paths must
-//     produce the same cache key for the same instance bytes.
+// Canonical re-serialization (dump()) is byte-identical with the
+// JsonValue dump of the same document: members sorted by key, last
+// duplicate wins, same escape and number formatting. The service builds
+// responses with JsonValue::dump and digests instance subtrees with
+// View::dump, so the two must agree (tests/test_json_arena.cpp).
 //
 // Lifetime/ownership rules: a JsonArena owns its buffers; View cursors and
 // the string_views they return borrow from it and are invalidated by
@@ -94,22 +84,28 @@ class JsonArena {
   JsonArena(const JsonArena&) = delete;
   JsonArena& operator=(const JsonArena&) = delete;
 
-  /// True until parse_json_arena has populated this arena.
+  /// True until parse_json_arena or from_json_value has populated this
+  /// arena.
   bool empty() const { return nodes_.empty(); }
+
+  /// Copies a JsonValue tree into an arena, the inverse of
+  /// View::to_json_value(). Numbers keep their exact bits, non-finite ones
+  /// included, so decoders over View validate hand-built documents the way
+  /// they validate parsed ones.
+  static JsonArena from_json_value(const JsonValue& value);
 
   /// Cursor onto the document root. Throws JsonError on an empty arena.
   View root() const;
 
-  /// Total parsed values (root included) — the arena analogue of a DOM
-  /// node count, used by bench_json to sanity-check coverage.
+  /// Total parsed values (root included), recorded by bench_json.
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Bytes of the in-situ scratch buffer (== input size).
+  /// Bytes of the scratch buffer (the input size, for a parsed document).
   std::size_t scratch_bytes() const { return scratch_.size(); }
 
   /// Canonical serialization of the whole document: members sorted by key
   /// (last duplicate wins), identical bytes to JsonValue::dump() of the
-  /// same input. `indent` > 0 pretty-prints exactly like the DOM dumper.
+  /// same input. `indent` > 0 pretty-prints exactly like JsonValue::dump.
   std::string dump(int indent = 0) const;
 
  private:
@@ -123,8 +119,7 @@ class JsonArena {
 
 /// Lightweight cursor over one arena value: {arena pointer, node index}.
 /// Copyable; borrows the arena (see lifetime rules above). Accessors throw
-/// JsonError with the same messages as the JsonValue accessors, so decoding
-/// code templated over both document types reports identical errors.
+/// JsonError with the same messages as the JsonValue accessors.
 class JsonArena::View {
  public:
   View() = default;
@@ -142,8 +137,7 @@ class JsonArena::View {
   std::string_view as_string() const;
 
   /// Forward range over a container's children (Views; objects expose the
-  /// member name via View::key()). Satisfies the same range-for shape as
-  /// JsonArray/JsonObject so decoders can be templated over both.
+  /// member name via View::key()), in document order.
   class ChildRange;
   ChildRange as_array() const;   ///< throws unless is_array()
   ChildRange as_object() const;  ///< throws unless is_object()
@@ -151,9 +145,9 @@ class JsonArena::View {
   /// Direct children of a container (0 for scalars).
   std::size_t size() const;
 
-  /// Object member lookup. Duplicate keys resolve to the *last* occurrence
-  /// — the same value std::map assignment keeps on the DOM path. Throws
-  /// JsonError "json: missing key 'k'" when absent or not an object.
+  /// Object member lookup. Duplicate keys resolve to the *last* occurrence,
+  /// the member that dump() and to_json_value() keep. Throws JsonError
+  /// "json: missing key 'k'" when absent.
   View at(std::string_view key) const;
   bool contains(std::string_view key) const;
   double number_at(std::string_view key) const { return at(key).as_number(); }
@@ -164,13 +158,13 @@ class JsonArena::View {
   /// Member name when this view was reached as an object member.
   std::string_view key() const;
 
-  /// Canonical serialization of this subtree (same bytes as the DOM dump
-  /// of the equivalent JsonValue — the service digests instance subtrees
+  /// Canonical serialization of this subtree (same bytes as the dump of
+  /// the equivalent JsonValue — the service digests instance subtrees
   /// through this).
   std::string dump(int indent = 0) const;
 
-  /// Materializes this subtree as a DOM value (small subtrees only — the
-  /// service converts request ids for response envelopes, never payloads).
+  /// Materializes this subtree as an owned JsonValue tree (one allocation
+  /// per node; parse_json is parse_json_arena plus this).
   JsonValue to_json_value() const;
 
  private:
@@ -237,10 +231,24 @@ class JsonArena::View::ChildRange {
   std::uint32_t count_;
 };
 
-/// Parses a complete JSON document into an arena. Accept/reject decisions,
-/// JsonError messages, and byte offsets are identical to parse_json under
-/// the same `limits` (the parity contract above).
+/// Parses a complete JSON document into an arena. Throws JsonError
+/// carrying the byte offset of the first problem; the grammar and limits
+/// are documented at parse_json (util/json.h).
 JsonArena parse_json_arena(std::string_view text,
                            const JsonParseLimits& limits = {});
+
+/// Typed reads of one member of a request object. The solver service, the
+/// router and core::solve_spec_from_arena read request fields through
+/// these, so every front door words a wrongly typed field the same way:
+/// std::invalid_argument `field "<key>" must be a <type>`.
+/// field_string needs `key` present (check contains() first; an absent key
+/// throws JsonError "json: missing key"); the others return `fallback`
+/// when it is absent.
+std::string_view field_string(const JsonArena::View& object,
+                              std::string_view key);
+double field_number(const JsonArena::View& object, std::string_view key,
+                    double fallback);
+bool field_bool(const JsonArena::View& object, std::string_view key,
+                bool fallback);
 
 }  // namespace mecsc::util

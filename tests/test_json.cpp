@@ -3,44 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "util/json_arena.h"
 
 namespace mecsc::util {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Two-path parameterization: every accept/reject corpus below runs against
-// both the DOM parser (util/json.h, the reference) and the arena parser
-// (util/json_arena.h, the serving hot path). The parity contract — identical
-// accept/reject decisions, identical error offsets and messages, identical
-// number bits — is what lets the service switch paths per request
-// (ServerOptions::use_arena_parser) without splitting its digest-keyed cache.
-// ---------------------------------------------------------------------------
-
-enum class ParsePath { kDom, kArena };
-
-const char* path_name(ParsePath p) {
-  return p == ParsePath::kDom ? "dom" : "arena";
-}
-
-/// Parses through the selected path and returns the canonical dump (the
-/// byte-level observable the cache digest is built from).
-std::string dump_via(ParsePath path, const std::string& text,
-                     const JsonParseLimits& limits = {}) {
-  if (path == ParsePath::kDom) return parse_json(text, limits).dump();
+/// Parses one document and returns its canonical dump.
+std::string dump_of(const std::string& text,
+                    const JsonParseLimits& limits = {}) {
   return parse_json_arena(text, limits).dump();
 }
 
 /// Parses a one-element array document and returns the number inside, so
-/// scalar number semantics can be compared across paths bit-for-bit.
-double number_via(ParsePath path, const std::string& token) {
-  const std::string doc = "[" + token + "]";
-  if (path == ParsePath::kDom) {
-    return parse_json(doc).as_array().at(0).as_number();
-  }
-  return parse_json_arena(doc).root().as_array()[0].as_number();
+/// scalar number semantics can be checked bit for bit.
+double number_of(const std::string& token) {
+  return parse_json_arena("[" + token + "]").root().as_array()[0].as_number();
 }
 
 std::uint64_t bits_of(double d) {
@@ -48,14 +30,6 @@ std::uint64_t bits_of(double d) {
   std::memcpy(&u, &d, sizeof u);
   return u;
 }
-
-class JsonParsePaths : public ::testing::TestWithParam<ParsePath> {};
-
-INSTANTIATE_TEST_SUITE_P(BothPaths, JsonParsePaths,
-                         ::testing::Values(ParsePath::kDom, ParsePath::kArena),
-                         [](const auto& info) {
-                           return std::string(path_name(info.param));
-                         });
 
 TEST(Json, ScalarRoundTrips) {
   EXPECT_EQ(parse_json("null"), JsonValue(nullptr));
@@ -150,19 +124,19 @@ TEST(Json, ParseErrorsCarryOffsets) {
   }
 }
 
-// The parsers sit on a network boundary (src/svc/), so every malformed
+// The parser sits on a network boundary (src/svc/), so every malformed
 // document must produce a JsonError with an accurate byte offset — never a
 // crash, a hang, or a silently wrong value. One row per failure mode,
-// mirroring the error-path tables of the reference C parsers. The corpus is
-// shared by both parse paths (see malformed_corpus users below).
+// mirroring the error-path tables of the reference C parsers. The offsets
+// and messages reach clients verbatim in parse_error responses.
 struct MalformedCase {
   const char* input;
   std::size_t offset;           ///< expected JsonError::offset()
   const char* message_contains; ///< expected substring of what()
 };
 
-const MalformedCase* malformed_corpus(std::size_t& count) {
-  static const MalformedCase corpus[] = {
+TEST(Json, MalformedInputCorpus) {
+  const MalformedCase corpus[] = {
       // Truncation and structure.
       {"", 0, "unexpected end of input"},
       {"{", 1, "unexpected end of input"},
@@ -204,21 +178,14 @@ const MalformedCase* malformed_corpus(std::size_t& count) {
       {"1e999", 0, "outside double range"},
       {"-1e999", 0, "outside double range"},
       // Underflow: glibc reports subnormal results as out_of_range, so
-      // both paths must reject tokens that land below the normal range.
+      // tokens that land below the normal range are rejected.
       {"1e-310", 0, "outside double range"},
       {"4.9e-324", 0, "outside double range"},
   };
-  count = sizeof(corpus) / sizeof(corpus[0]);
-  return corpus;
-}
-
-TEST_P(JsonParsePaths, MalformedInputCorpus) {
-  std::size_t count = 0;
-  const MalformedCase* corpus = malformed_corpus(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const MalformedCase& c = corpus[i];
+  EXPECT_EQ(std::size(corpus), 36u);
+  for (const MalformedCase& c : corpus) {
     try {
-      dump_via(GetParam(), c.input);
+      dump_of(c.input);
       FAIL() << "accepted malformed input: " << c.input;
     } catch (const JsonError& err) {
       EXPECT_EQ(err.offset(), c.offset) << "input: " << c.input
@@ -227,34 +194,6 @@ TEST_P(JsonParsePaths, MalformedInputCorpus) {
                 std::string::npos)
           << "input: " << c.input << " error: " << err.what();
     }
-  }
-}
-
-// Beyond matching the per-row expectations, the two paths must agree with
-// each other verbatim: same exception text, same offset, on every row. This
-// is the cross-path half of the parity gate — a new failure mode added to
-// one parser but not the other fails here even if both "reasonably" reject.
-TEST(JsonParity, MalformedCorpusIdenticalErrorsAcrossPaths) {
-  std::size_t count = 0;
-  const MalformedCase* corpus = malformed_corpus(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const char* input = corpus[i].input;
-    std::string dom_err, arena_err;
-    std::size_t dom_off = 0, arena_off = 1;
-    try {
-      parse_json(input);
-    } catch (const JsonError& e) {
-      dom_err = e.what();
-      dom_off = e.offset();
-    }
-    try {
-      parse_json_arena(input);
-    } catch (const JsonError& e) {
-      arena_err = e.what();
-      arena_off = e.offset();
-    }
-    EXPECT_EQ(dom_err, arena_err) << "input: " << input;
-    EXPECT_EQ(dom_off, arena_off) << "input: " << input;
   }
 }
 
@@ -268,7 +207,7 @@ struct NumberCase {
   double value;
 };
 
-TEST_P(JsonParsePaths, StrictNumberCorpus) {
+TEST(Json, StrictNumberCorpus) {
   const NumberCase corpus[] = {
       {"0", 0.0},
       {"-0", -0.0},
@@ -303,73 +242,61 @@ TEST_P(JsonParsePaths, StrictNumberCorpus) {
       {"1.00000000000000011102230246251565404236316680908203125", 1.0},
       {"123456789012345678901234567890", 123456789012345678901234567890.0},
   };
+  EXPECT_EQ(std::size(corpus), 29u);
   for (const NumberCase& c : corpus) {
-    const double got = number_via(GetParam(), c.token);
+    const double got = number_of(c.token);
     EXPECT_EQ(bits_of(got), bits_of(c.value))
-        << "token " << c.token << " parsed to " << got << " via "
-        << path_name(GetParam());
+        << "token " << c.token << " parsed to " << got;
   }
 }
 
-TEST_P(JsonParsePaths, DepthLimitRejectsDeepNesting) {
+TEST(Json, DepthLimitRejectsDeepNesting) {
   JsonParseLimits limits;
   limits.max_depth = 8;
   const std::string ok(8, '[');
-  EXPECT_NO_THROW(dump_via(GetParam(), ok + std::string(8, ']'), limits));
+  EXPECT_NO_THROW(dump_of(ok + std::string(8, ']'), limits));
   const std::string deep(9, '[');
-  EXPECT_THROW(dump_via(GetParam(), deep + std::string(9, ']'), limits),
-               JsonError);
+  EXPECT_THROW(dump_of(deep + std::string(9, ']'), limits), JsonError);
   // Mixed nesting counts every container level.
-  EXPECT_THROW(
-      dump_via(GetParam(), "[{\"a\":[{\"b\":[{\"c\":[[[1]]]}]}]}]", limits),
-      JsonError);
-  // Default limit stops pathological input long before the call stack does
-  // on the recursive path (the arena path has no recursion to exhaust).
-  EXPECT_THROW(dump_via(GetParam(), std::string(100000, '[')), JsonError);
+  EXPECT_THROW(dump_of("[{\"a\":[{\"b\":[{\"c\":[[[1]]]}]}]}]", limits),
+               JsonError);
+  // The default limit stops pathological input long before the recursive
+  // walks over a parsed document (to_json_value, the dumpers) could
+  // exhaust the call stack.
+  EXPECT_THROW(parse_json(std::string(100000, '[')), JsonError);
 }
 
-// Satellite fix: the over-deep error must carry the *same byte offset* on
-// both paths — the offset of the bracket that first exceeds the limit —
-// even though one parser counts recursion depth and the other an explicit
-// stack. A silent off-by-one here would break error-message parity on the
-// wire.
-TEST(JsonParity, DepthErrorOffsetIdenticalAcrossPaths) {
+// The over-deep error carries the offset of the bracket that first exceeds
+// the limit, whether that bracket opens an array or an object.
+TEST(Json, DepthErrorPointsAtTheOffendingOpener) {
   JsonParseLimits limits;
   limits.max_depth = 4;
-  // The fifth opener is at byte 6 ("[ [ {\"k\":[ [" layouts vary per doc).
-  const std::string docs[] = {
-      "[[[[[1]]]]]",
-      "[[[[{\"k\":1}]]]]x",  // depth 5 via an object opener
-      "{\"a\":[[[[1]]]]}",
+  const std::pair<std::string, std::size_t> docs[] = {
+      {"[[[[[1]]]]]", 4},
+      {"[[[[{\"k\":1}]]]]x", 4},  // depth 5 via an object opener
+      {"{\"a\":[[[[1]]]]}", 8},
   };
-  for (const std::string& doc : docs) {
-    std::string dom_err, arena_err;
-    std::size_t dom_off = 0, arena_off = 1;
+  for (const auto& [doc, offset] : docs) {
     try {
       parse_json(doc, limits);
+      FAIL() << "accepted over-deep document: " << doc;
     } catch (const JsonError& e) {
-      dom_err = e.what();
-      dom_off = e.offset();
+      EXPECT_EQ(e.offset(), offset) << "doc: " << doc;
+      EXPECT_EQ(std::string(e.what()),
+                "json parse error at offset " + std::to_string(offset) +
+                    ": nesting deeper than 4 levels")
+          << "doc: " << doc;
     }
-    try {
-      parse_json_arena(doc, limits);
-    } catch (const JsonError& e) {
-      arena_err = e.what();
-      arena_off = e.offset();
-    }
-    EXPECT_EQ(dom_err, arena_err) << "doc: " << doc;
-    EXPECT_EQ(dom_off, arena_off) << "doc: " << doc;
-    EXPECT_FALSE(dom_err.empty()) << "doc: " << doc;
   }
 }
 
-TEST_P(JsonParsePaths, NumberLengthLimit) {
+TEST(Json, NumberLengthLimit) {
   JsonParseLimits limits;
   limits.max_number_length = 8;
-  EXPECT_NO_THROW(dump_via(GetParam(), "12345678", limits));
-  EXPECT_THROW(dump_via(GetParam(), "123456789", limits), JsonError);
+  EXPECT_NO_THROW(dump_of("12345678", limits));
+  EXPECT_THROW(dump_of("123456789", limits), JsonError);
   // The default cap still admits full double precision round trips.
-  EXPECT_NO_THROW(dump_via(GetParam(), "-1.7976931348623157e308"));
+  EXPECT_NO_THROW(dump_of("-1.7976931348623157e308"));
 }
 
 TEST(Json, ErrorOffsetPointsIntoNestedDocument) {

@@ -1,18 +1,23 @@
-// Arena-parser-specific coverage: cursor/iteration semantics, canonical
-// dump parity with the DOM path (including the duplicate-key and unicode
-// corners), and the fixture differential gate over examples/instances/.
-// The shared accept/reject corpora live in test_json.cpp, parameterized
-// over both paths.
+// Arena coverage: cursor/iteration semantics, JsonValue round trips, and a
+// differential of the two serializers — JsonValue::dump, which builds
+// every response, and JsonArena::dump, which canonicalizes the instance
+// subtree the service digests. They must agree byte for byte on
+// handwritten corner cases (duplicate keys, unicode, number spellings) and
+// on every fixture under examples/instances/. The accept/reject corpora
+// live in test_json.cpp.
 #include "util/json_arena.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -49,10 +54,10 @@ TEST(JsonArena, EmptyArenaAndMoves) {
 }
 
 TEST(JsonArena, IterationPreservesDocumentOrder) {
-  // Unlike the DOM path (std::map sorts members), the arena keeps wire
-  // order for iteration; only dump() canonicalizes. Decoders that iterate
-  // must therefore not depend on member order — and the canonical dump is
-  // the only order-sensitive observable.
+  // Unlike JsonValue (std::map sorts members), the arena keeps wire order
+  // for iteration; only dump() canonicalizes. Decoders that iterate must
+  // therefore not depend on member order — and the canonical dump is the
+  // only order-sensitive observable.
   const JsonArena arena = parse_json_arena(R"({"z":1,"a":2,"m":3})");
   std::vector<std::string> keys;
   for (const JsonArena::View member : arena.root().as_object()) {
@@ -83,8 +88,7 @@ TEST(JsonArena, ObjectAccessMatchesDomSemantics) {
     root.at("c");
     FAIL();
   } catch (const JsonError& e) {
-    // Same spelling as JsonValue::at — callers templated over both
-    // document types surface identical errors.
+    // Same spelling as JsonValue::at.
     EXPECT_STREQ(e.what(), "json: missing key 'c'");
   }
 }
@@ -118,10 +122,28 @@ TEST(JsonArena, DuplicateKeysResolveToLastLikeDom) {
   const JsonArena arena = parse_json_arena(doc);
   EXPECT_DOUBLE_EQ(arena.root().number_at("a"), 3.0);
   EXPECT_EQ(arena.root().size(), 3u);  // wire members, pre-canonicalization
-  // Canonical dump collapses duplicates exactly like the DOM's std::map.
-  EXPECT_EQ(arena.dump(), parse_json(doc).dump());
+  // Both serializers collapse duplicates to the last occurrence.
   EXPECT_EQ(arena.dump(), R"({"a":3,"b":2})");
-  EXPECT_EQ(arena.root().to_json_value(), parse_json(doc));
+  EXPECT_EQ(arena.root().to_json_value().dump(), arena.dump());
+  EXPECT_EQ(arena.root().to_json_value(),
+            JsonValue(JsonObject{{"a", JsonValue(3)}, {"b", JsonValue(2)}}));
+}
+
+TEST(JsonArena, FromJsonValueRoundTrips) {
+  const JsonValue built(JsonObject{
+      {"xs", JsonValue(JsonArray{JsonValue(1), JsonValue(nullptr),
+                                 JsonValue("s\n"), JsonValue(JsonArray{})})},
+      {"o", JsonValue(JsonObject{{"b", JsonValue(true)}})},
+      {"e", JsonValue(JsonObject{})}});
+  const JsonArena arena = JsonArena::from_json_value(built);
+  EXPECT_EQ(arena.root().to_json_value(), built);
+  EXPECT_EQ(arena.dump(), built.dump());
+  EXPECT_EQ(arena.root().at("xs").as_array()[2].as_string(), "s\n");
+  EXPECT_EQ(arena.node_count(), 9u);
+  // Numbers keep their bits, including values no parse can produce.
+  const JsonArena nan =
+      JsonArena::from_json_value(JsonValue(std::nan("")));
+  EXPECT_TRUE(std::isnan(nan.root().as_number()));
 }
 
 TEST(JsonArena, InSituStringDecoding) {
@@ -150,21 +172,21 @@ TEST(JsonArena, DumpParityOnHandwrittenDocuments) {
       " \n\t [ 1 , { \"k\" : null } ] \r\n ",
   };
   for (const char* doc : docs) {
-    const JsonValue dom = parse_json(doc);
     const JsonArena arena = parse_json_arena(doc);
+    const JsonValue value = arena.root().to_json_value();
     for (int indent : {0, 2, 4}) {
-      EXPECT_EQ(dom.dump(indent), arena.dump(indent))
+      EXPECT_EQ(value.dump(indent), arena.dump(indent))
           << "doc " << doc << " indent " << indent;
     }
-    EXPECT_EQ(arena.root().to_json_value(), dom) << "doc " << doc;
   }
 }
 
-// The fixture differential gate: every instance fixture shipped under
-// examples/instances/ must re-serialize byte-identically through both
-// paths, at both indents, and decode to equal DOM trees. These documents
-// are the realistic workload — deep nesting, long float vectors, the whole
-// io.h schema — so this is the closest test to the serving contract.
+// The fixture differential: every instance fixture shipped under
+// examples/instances/ must serialize byte-identically through both
+// serializers, at both indents, and survive a JsonValue round trip. These
+// documents are the realistic workload — deep nesting, long float vectors,
+// the whole io.h schema — so this is the closest test to the serving
+// contract.
 TEST(JsonArena, FixtureDumpParity) {
   const std::filesystem::path dir =
       std::filesystem::path(MECSC_EXAMPLES_DIR) / "instances";
@@ -178,12 +200,37 @@ TEST(JsonArena, FixtureDumpParity) {
   for (const auto& path : fixtures) {
     const std::string text = read_file(path);
     ASSERT_FALSE(text.empty()) << path;
-    const JsonValue dom = parse_json(text);
     const JsonArena arena = parse_json_arena(text);
-    EXPECT_EQ(dom.dump(), arena.dump()) << path;
-    EXPECT_EQ(dom.dump(2), arena.dump(2)) << path;
-    EXPECT_EQ(arena.root().to_json_value(), dom) << path;
+    const JsonValue value = arena.root().to_json_value();
+    EXPECT_EQ(value.dump(), arena.dump()) << path;
+    EXPECT_EQ(value.dump(2), arena.dump(2)) << path;
+    EXPECT_EQ(parse_json(value.dump(2)), value) << path;
     EXPECT_GT(arena.node_count(), 1u) << path;
+  }
+}
+
+TEST(JsonArena, FieldReadersNameTheWronglyTypedField) {
+  const JsonArena arena =
+      parse_json_arena(R"({"s":"x","n":2.5,"b":true,"bad":[1]})");
+  const JsonArena::View root = arena.root();
+  EXPECT_EQ(field_string(root, "s"), "x");
+  EXPECT_DOUBLE_EQ(field_number(root, "n", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(field_number(root, "absent", 7.0), 7.0);
+  EXPECT_TRUE(field_bool(root, "b", false));
+  EXPECT_FALSE(field_bool(root, "absent", false));
+  EXPECT_THROW(field_string(root, "absent"), JsonError);
+  const std::pair<std::function<void()>, const char*> cases[] = {
+      {[&] { field_string(root, "bad"); }, "field \"bad\" must be a string"},
+      {[&] { field_number(root, "s", 0.0); }, "field \"s\" must be a number"},
+      {[&] { field_bool(root, "n", false); }, "field \"n\" must be a boolean"},
+  };
+  for (const auto& [call, message] : cases) {
+    try {
+      call();
+      FAIL() << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -165,6 +166,43 @@ TEST(RouteAffinity, RequestIdsAreMintedByTheRouterWhenAbsent) {
       client.solve(route_instance(1), "lcf", 10, 0.3, true, -1.0, "mine-1");
   ASSERT_TRUE(tagged.ok);
   EXPECT_EQ(tagged.request_id, "mine-1");  // client ids pass through
+}
+
+// A wrongly typed request field is reported as `field "<name>" must be a
+// <type>` by both daemons: the router rejects type and request_id itself,
+// and relays the backend's rejection of algorithm. Either way a client
+// sees the same error object as from the backend directly.
+TEST(RouteErrors, WronglyTypedFieldsGetTheBackendsErrorObject) {
+  RouterFixture f(1, no_probe_options());
+  svc::SvcClient routed = f.client();
+  svc::SvcClient direct = svc::SvcClient::connect(
+      "tcp:127.0.0.1:" + std::to_string(f.backends[0]->port()));
+  const std::pair<JsonValue, std::string> cases[] = {
+      {JsonValue(JsonObject{{"id", JsonValue(1)}, {"type", JsonValue(5)}}),
+       "type"},
+      {JsonValue(JsonObject{{"id", JsonValue(2)},
+                            {"type", JsonValue("solve")},
+                            {"algorithm", JsonValue(7)},
+                            {"instance", route_instance(1)}}),
+       "algorithm"},
+      {JsonValue(JsonObject{{"id", JsonValue(3)},
+                            {"type", JsonValue("health")},
+                            {"request_id", JsonValue(9)}}),
+       "request_id"},
+  };
+  for (const auto& [request, field] : cases) {
+    const svc::SvcResponse from_backend = direct.call(request);
+    const svc::SvcResponse from_router = routed.call(request);
+    ASSERT_FALSE(from_backend.ok) << from_backend.raw;
+    ASSERT_FALSE(from_router.ok) << from_router.raw;
+    EXPECT_EQ(from_backend.error_code, "bad_request") << from_backend.raw;
+    EXPECT_EQ(from_backend.error_message,
+              "field \"" + field + "\" must be a string")
+        << from_backend.raw;
+    EXPECT_EQ(from_router.body.at("error"), from_backend.body.at("error"))
+        << "router: " << from_router.raw
+        << "\nbackend: " << from_backend.raw;
+  }
 }
 
 // --- Router-answered request types -----------------------------------------

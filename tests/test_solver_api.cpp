@@ -1,6 +1,5 @@
-// SolveSpec decoding: the three front doors (DOM, arena view, raw bytes)
-// must accept and reject identically — they are one template underneath,
-// and the service's bad_request error text is part of the wire contract.
+// SolveSpec decoding and cache keys. The service's bad_request error text
+// is part of the wire contract, so rejections are pinned verbatim.
 #include "core/solver_api.h"
 
 #include <gtest/gtest.h>
@@ -8,13 +7,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/json.h"
+#include "util/json_arena.h"
 
 namespace mecsc::core {
 namespace {
 
 SolveSpec decode(const std::string& doc) {
-  return decode_solve_spec(doc.data(), doc.size());
+  return solve_spec_from_arena(util::parse_json_arena(doc).root());
 }
 
 TEST(SolverApi, DecodeSolveSpecDefaults) {
@@ -51,51 +50,18 @@ TEST(SolverApi, DecodeSolveSpecRejectsNonNumberXi) {
   }
 }
 
+TEST(SolverApi, DecodeSolveSpecRejectsNonStringAlgorithm) {
+  try {
+    decode(R"({"algorithm": 7})");
+    FAIL();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "field \"algorithm\" must be a string");
+  }
+}
+
 TEST(SolverApi, DecodeSolveSpecRejectsMalformedJson) {
   EXPECT_THROW(decode("{\"algorithm\": "), util::JsonError);
   EXPECT_THROW(decode(""), util::JsonError);
-}
-
-// All three overloads are instantiations of one template, but the wrapper
-// plumbing (arena root, DOM at()) could still drift — pin the parity.
-TEST(SolverApi, ThreeFrontDoorsAgree) {
-  const std::string docs[] = {
-      "{}",
-      R"({"algorithm": "appro"})",
-      R"({"algorithm": "lcf", "one_minus_xi": 0.7})",
-      R"({"one_minus_xi": 1})",
-  };
-  for (const std::string& doc : docs) {
-    const SolveSpec from_dom = solve_spec_from_json(util::parse_json(doc));
-    const util::JsonArena arena = util::parse_json_arena(doc);
-    const SolveSpec from_arena = solve_spec_from_arena(arena.root());
-    const SolveSpec from_bytes = decode(doc);
-    EXPECT_EQ(from_dom.algorithm, from_arena.algorithm) << doc;
-    EXPECT_EQ(from_dom.algorithm, from_bytes.algorithm) << doc;
-    EXPECT_DOUBLE_EQ(from_dom.one_minus_xi, from_arena.one_minus_xi) << doc;
-    EXPECT_DOUBLE_EQ(from_dom.one_minus_xi, from_bytes.one_minus_xi) << doc;
-    EXPECT_EQ(from_dom.cache_key(), from_bytes.cache_key()) << doc;
-  }
-  // Error parity on the reject side.
-  const std::string bad[] = {
-      R"({"algorithm": "nope"})",
-      R"({"one_minus_xi": null})",
-  };
-  for (const std::string& doc : bad) {
-    std::string dom_err, bytes_err;
-    try {
-      solve_spec_from_json(util::parse_json(doc));
-    } catch (const std::invalid_argument& e) {
-      dom_err = e.what();
-    }
-    try {
-      decode(doc);
-    } catch (const std::invalid_argument& e) {
-      bytes_err = e.what();
-    }
-    EXPECT_FALSE(dom_err.empty()) << doc;
-    EXPECT_EQ(dom_err, bytes_err) << doc;
-  }
 }
 
 TEST(SolverApi, CacheKeySeparatesLcfXi) {

@@ -277,9 +277,9 @@ EOF
     fi
   fi
 
-  # Parse-path determinism: bench_json's record carries the canonical-dump
-  # digest and node counts for the DOM/arena parity corpus; everything
-  # outside wall_ keys must be bit-identical across runs.
+  # Parse determinism: bench_json's records carry each generated
+  # document's size, arena node count and canonical-dump digest;
+  # everything outside wall_ keys must be bit-identical across runs.
   BENCH_JSON="$(dirname "$MECSC")/../bench/bench_json"
   if [ -x "$BENCH_JSON" ]; then
     MECSC_BENCH_SMOKE=1 MECSC_BENCH_JSON_DIR="$out" "$BENCH_JSON" >/dev/null

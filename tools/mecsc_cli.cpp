@@ -223,7 +223,7 @@ core::Instance load_instance(const Args& args) {
   const std::string path = args.require("-i");
   const std::string text = core::read_text_file(path);
   g_instance_digest = obs::fnv1a64_hex(text);
-  return core::instance_from_json(util::parse_json(text));
+  return core::instance_from_json_text(text);
 }
 
 int cmd_generate(const Args& args) {

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -56,7 +57,6 @@ usage:
               [--spill-queue-fraction F]  pre-spill when a probed backend's
                                      queue is >= F full (default 0.9;
                                      >= 1 disables pre-spill)
-              [--parser arena|dom]   digest-extraction parse path
               [--port-file FILE]     write the bound TCP port
               [--request-log FILE]   wide-event JSON-lines log (one record
                                      per routed request)
@@ -78,6 +78,16 @@ routing.
   std::exit(error.empty() ? 0 : 2);
 }
 
+/// Every flag main() reads. Anything else is a usage error, so a typo
+/// fails the start instead of silently running with a default.
+const std::set<std::string> kFlags = {
+    "--unix-socket", "--tcp-port", "--backend", "--health-interval-ms",
+    "--probe-failures", "--spill-queue-fraction", "--port-file",
+    "--request-log", "--request-log-max-mb", "--slow-request-ms", "--trace-out",
+    "--trace-sample-rate", "--flight-recorder", "--flight-dump", "--admin-port",
+    "--admin-port-file", "--telemetry-window-ms", "--log-level",
+    "--metrics-out", "--manifest-out"};
+
 /// Flag parser allowing repeated keys (--backend is given once per
 /// backend; everything else behaves last-wins like the other tools).
 class Args {
@@ -87,6 +97,7 @@ class Args {
       const std::string key = argv[i];
       if (key == "--help" || key == "-h") usage();
       if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
+      if (kFlags.count(key) == 0) usage("unknown flag '" + key + "'");
       if (i + 1 >= argc) usage("flag '" + key + "' needs a value");
       values_.emplace_back(key, argv[++i]);
     }
@@ -209,15 +220,6 @@ int main(int argc, char** argv) {
         args.number_or("--spill-queue-fraction", 0.9);
     if (options.spill_queue_fraction <= 0.0)
       usage("--spill-queue-fraction must be > 0");
-    if (const auto parser = args.get("--parser")) {
-      if (*parser == "arena") {
-        options.use_arena_parser = true;
-      } else if (*parser == "dom") {
-        options.use_arena_parser = false;
-      } else {
-        usage("--parser must be 'arena' or 'dom'");
-      }
-    }
     options.request_log_path = args.get("--request-log").value_or("");
     options.request_log_max_mb = args.number_or("--request-log-max-mb", 0.0);
     options.slow_request_ms = args.number_or("--slow-request-ms", -1.0);

@@ -19,6 +19,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -48,10 +49,6 @@ usage:
               [--queue-capacity N]   admitted-request queue (default 64)
               [--cache-capacity N]   resident solve results (default 128)
               [--default-deadline-ms MS]  applied when requests carry none
-              [--parser arena|dom]   request parse path (default arena —
-                                     the zero-DOM hot path; dom is the
-                                     reference parser, byte-identical
-                                     responses)
               [--port-file FILE]     write the bound TCP port (ephemeral
                                      binds resolve before the file appears)
               [--request-log FILE]   wide-event JSON-lines log: one record
@@ -91,6 +88,16 @@ flight recorder (last N requests + span trees) for incident debugging.
   std::exit(error.empty() ? 0 : 2);
 }
 
+/// Every flag main() reads. Anything else is a usage error, so a typo
+/// fails the start instead of silently running with a default.
+const std::set<std::string> kFlags = {
+    "--unix-socket", "--tcp-port", "--threads", "--queue-capacity",
+    "--cache-capacity", "--default-deadline-ms", "--port-file", "--request-log",
+    "--request-log-max-mb", "--slow-request-ms", "--trace-out",
+    "--trace-sample-rate", "--flight-recorder", "--flight-dump", "--admin-port",
+    "--admin-port-file", "--telemetry-window-ms", "--log-level",
+    "--metrics-out", "--profile-out", "--manifest-out"};
+
 /// Tiny flag parser: --key value pairs (same shape as the mecsc CLI's).
 class Args {
  public:
@@ -99,6 +106,7 @@ class Args {
       const std::string key = argv[i];
       if (key == "--help" || key == "-h") usage();
       if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
+      if (kFlags.count(key) == 0) usage("unknown flag '" + key + "'");
       if (i + 1 >= argc) usage("flag '" + key + "' needs a value");
       values_[key] = argv[++i];
     }
@@ -180,15 +188,6 @@ int main(int argc, char** argv) {
     options.cache_capacity =
         static_cast<std::size_t>(args.number_or("--cache-capacity", 128));
     options.default_deadline_ms = args.number_or("--default-deadline-ms", 0.0);
-    if (const auto parser = args.get("--parser")) {
-      if (*parser == "arena") {
-        options.use_arena_parser = true;
-      } else if (*parser == "dom") {
-        options.use_arena_parser = false;
-      } else {
-        usage("--parser must be 'arena' or 'dom'");
-      }
-    }
     if (options.threads == 0) usage("--threads must be >= 1");
     if (options.queue_capacity == 0) usage("--queue-capacity must be >= 1");
     options.request_log_path = args.get("--request-log").value_or("");
