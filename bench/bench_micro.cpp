@@ -153,14 +153,34 @@ void BM_BestResponseDynamics(benchmark::State& state) {
 }
 BENCHMARK(BM_BestResponseDynamics)->Arg(100)->Arg(400);
 
+// Args: network size, providers.
 void BM_LcfEndToEnd(benchmark::State& state) {
-  const auto inst = bench_instance(
-      static_cast<std::size_t>(state.range(0)), 100);
+  const auto inst =
+      bench_instance(static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::run_lcf(inst));
   }
 }
-BENCHMARK(BM_LcfEndToEnd)->Arg(100)->Arg(400);
+BENCHMARK(BM_LcfEndToEnd)
+    ->Args({100, 100})
+    ->Args({400, 100})
+    ->Args({400, 250})
+    ->Args({400, 1000});
+
+// Appro's inner solve alone, on the congestion-aware instance that
+// run_appro builds. Args: network size, providers.
+void BM_Transportation(benchmark::State& state) {
+  const auto inst =
+      bench_instance(static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)));
+  const auto t = core::build_appro_transportation(
+      inst, core::split_cloudlets(inst), /*congestion_aware=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(opt::solve_transportation(t));
+  }
+}
+BENCHMARK(BM_Transportation)->Args({400, 250})->Args({400, 1000});
 
 void BM_EmulatorReplay(benchmark::State& state) {
   const auto inst = bench_instance(100, 50);

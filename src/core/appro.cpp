@@ -8,35 +8,11 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "opt/gap.h"
-#include "opt/transportation.h"
 #include "util/timer.h"
 
 namespace mecsc::core {
 
 namespace {
-
-/// Builds the slotted transportation reduction: one group per cloudlet with
-/// n_i slots plus a "remote" group that can hold everyone.
-opt::TransportationInstance build_transportation(
-    const Instance& inst, const VirtualCloudletSplit& split) {
-  const std::size_t m = inst.cloudlet_count();
-  const std::size_t n = inst.provider_count();
-  opt::TransportationInstance t;
-  t.num_groups = m + 1;  // last group = remote
-  t.num_items = n;
-  t.slots.assign(m + 1, 0);
-  for (std::size_t i = 0; i < m; ++i) t.slots[i] = split.slots[i];
-  t.slots[m] = n;
-  t.cost.assign((m + 1) * n, opt::kInadmissible);
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (split.slots[i] == 0 || !demand_fits(inst, l, i)) continue;
-      t.cost[i * n + l] = flat_cache_cost(inst, l, i);
-    }
-    t.cost[m * n + l] = remote_cost(inst, l);
-  }
-  return t;
-}
 
 /// Eq. (8): how many services fit one virtual cloudlet, via demands
 /// normalized to the largest demand (a unit-capacity virtual cloudlet holds
@@ -52,43 +28,6 @@ std::size_t slot_multiplicity(const Instance& inst,
   }
   const auto n_max = static_cast<std::size_t>(1.0 / std::max(min_w, 1e-6));
   return std::clamp<std::size_t>(n_max, 1, 64);
-}
-
-/// Builds the congestion-aware slotted reduction: group i offers
-/// n_i * n'_max slots, the k-th priced at the marginal congestion cost
-/// (α_i+β_i)·u·(2k-1); item costs are the congestion-free fixed parts.
-opt::ConvexTransportationInstance build_convex_transportation(
-    const Instance& inst, const VirtualCloudletSplit& split) {
-  const std::size_t m = inst.cloudlet_count();
-  const std::size_t n = inst.provider_count();
-  const std::size_t multiplicity = slot_multiplicity(inst, split);
-  opt::ConvexTransportationInstance t;
-  t.num_groups = m + 1;  // last group = remote
-  t.num_items = n;
-  t.slot_costs.resize(m + 1);
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t slots = split.slots[i] * multiplicity;
-    t.slot_costs[i].reserve(slots);
-    const double unit =
-        (inst.cost.alpha[i] + inst.cost.beta[i]) * kCongestionUnit;
-    for (std::size_t k = 1; k <= slots; ++k) {
-      // Marginal social congestion of the k-th tenant: k·f(k) − (k−1)·f(k−1)
-      // (2k−1 for the paper's linear shape). Non-decreasing in k for every
-      // shape, so the flow formulation stays exact.
-      t.slot_costs[i].push_back(
-          unit * congestion_shape_marginal(inst.cost.congestion, k));
-    }
-  }
-  t.slot_costs[m].assign(n, 0.0);  // remote: uncongested, unlimited
-  t.cost.assign((m + 1) * n, opt::kInadmissible);
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (split.slots[i] == 0 || !demand_fits(inst, l, i)) continue;
-      t.cost[i * n + l] = fixed_cache_cost(inst, l, i);
-    }
-    t.cost[m * n + l] = remote_cost(inst, l);
-  }
-  return t;
 }
 
 /// Builds the aggregated Shmoys-Tardos GAP reduction: knapsack i gathers
@@ -135,6 +74,48 @@ opt::GapInstance build_gap(const Instance& inst,
 
 }  // namespace
 
+opt::TransportationInstance build_appro_transportation(
+    const Instance& inst, const VirtualCloudletSplit& split,
+    bool congestion_aware) {
+  const std::size_t m = inst.cloudlet_count();
+  const std::size_t n = inst.provider_count();
+  const std::size_t multiplicity =
+      congestion_aware ? slot_multiplicity(inst, split) : 1;
+  opt::TransportationInstance t;
+  t.num_groups = m + 1;  // last group = remote
+  t.num_items = n;
+  t.slot_costs.resize(m + 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t slots = split.slots[i] * multiplicity;
+    if (!congestion_aware) {
+      t.slot_costs[i].assign(slots, 0.0);
+      continue;
+    }
+    t.slot_costs[i].reserve(slots);
+    const double unit =
+        (inst.cost.alpha[i] + inst.cost.beta[i]) * kCongestionUnit;
+    for (std::size_t k = 1; k <= slots; ++k) {
+      // Marginal social congestion of the k-th tenant: k·f(k) − (k−1)·f(k−1)
+      // (2k−1 for the paper's linear shape). Non-decreasing in k for every
+      // shape, so the transportation formulation stays exact.
+      t.slot_costs[i].push_back(
+          unit * congestion_shape_marginal(inst.cost.congestion, k));
+    }
+  }
+  t.slot_costs[m].assign(n, 0.0);  // remote: uncongested, unlimited
+  t.cost.assign(n * (m + 1), opt::kInadmissible);
+  for (std::size_t l = 0; l < n; ++l) {
+    double* row = &t.cost[l * (m + 1)];
+    for (std::size_t i = 0; i < m; ++i) {
+      if (split.slots[i] == 0 || !demand_fits(inst, l, i)) continue;
+      row[i] = congestion_aware ? fixed_cache_cost(inst, l, i)
+                                : flat_cache_cost(inst, l, i);
+    }
+    row[m] = remote_cost(inst, l);
+  }
+  return t;
+}
+
 ApproResult run_appro(const Instance& inst, const ApproOptions& options) {
   MECSC_PROFILE_SCOPE("appro");
   VirtualCloudletSplit split;
@@ -152,38 +133,25 @@ ApproResult run_appro(const Instance& inst, const ApproOptions& options) {
 
   const util::Timer inner_timer;
   if (options.solver == ApproOptions::InnerSolver::Transportation) {
-    if (options.congestion_aware) {
-      opt::ConvexTransportationInstance t;
-      {
-        MECSC_PROFILE_SCOPE("appro.build");
-        t = build_convex_transportation(inst, result.split);
-      }
-      opt::TransportationSolution sol;
-      {
-        MECSC_PROFILE_SCOPE("appro.inner_solve");
-        sol = opt::solve_convex_transportation(t);
-      }
-      assert(sol.feasible);  // remote group absorbs everyone
-      group_of = std::move(sol.assignment);
-    } else {
-      opt::TransportationInstance t;
-      {
-        MECSC_PROFILE_SCOPE("appro.build");
-        t = build_transportation(inst, result.split);
-      }
-      opt::TransportationSolution sol;
-      {
-        MECSC_PROFILE_SCOPE("appro.inner_solve");
-        sol = opt::solve_transportation(t);
-      }
-      assert(sol.feasible);
-      group_of = std::move(sol.assignment);
+    opt::TransportationInstance t;
+    {
+      MECSC_PROFILE_SCOPE("appro.build");
+      t = build_appro_transportation(inst, result.split,
+                                     options.congestion_aware);
     }
+    opt::TransportationSolution sol;
+    {
+      MECSC_PROFILE_SCOPE("appro.inner_solve");
+      sol = opt::solve_transportation(t);
+    }
+    assert(sol.feasible);  // remote group absorbs everyone
+    group_of = std::move(sol.assignment);
     MECSC_TRACE(obs::TraceEvent("appro.inner_solve")
                     .f("solver", "transportation")
                     .f("congestion_aware", options.congestion_aware)
                     .f("groups", m + 1)
                     .f("items", n)
+                    .f("path_edges", sol.path_edges)
                     .f("wall_ms", inner_timer.elapsed_ms()));
   } else {
     opt::GapInstance g;

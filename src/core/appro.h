@@ -9,8 +9,9 @@
 //  3. Solve the GAP instance with the Shmoys-Tardos framework [34]. Because
 //     step 1 restricts each virtual cloudlet to a single instance, the
 //     default inner solver is the integral transportation formulation
-//     (exact, ratio 1 <= 2); the general LP-rounding solver is available for
-//     fidelity to [34] and for the Lemma-2 study.
+//     (exact, ratio 1 <= 2), solved by shortest paths over the cloudlet
+//     groups (opt/transportation.h); the general LP-rounding solver is
+//     available for fidelity to [34] and for the Lemma-2 study.
 //  4. Move all services assigned to CL_i's virtual cloudlets into CL_i.
 //
 // The strategy space includes "do not cache" (serve from the home data
@@ -24,12 +25,13 @@
 #include "core/assignment.h"
 #include "core/instance.h"
 #include "core/virtual_cloudlet.h"
+#include "opt/transportation.h"
 
 namespace mecsc::core {
 
 struct ApproOptions {
   enum class InnerSolver {
-    Transportation,  ///< exact min-cost-flow on the slotted reduction
+    Transportation,  ///< exact transportation solve of the slotted reduction
     ShmoysTardos,    ///< LP relaxation + rounding, as in [34]
   };
   InnerSolver solver = InnerSolver::Transportation;
@@ -70,5 +72,15 @@ struct ApproResult {
 
 /// Runs Algorithm 1. The result's assignment is always feasible.
 ApproResult run_appro(const Instance& inst, const ApproOptions& options = {});
+
+/// The slotted transportation instance the Transportation inner solver
+/// receives: group i < m is cloudlet CL_i, group m is the remote tier (holds
+/// everyone at no slot cost). With congestion_aware=false, CL_i has n_i
+/// zero-cost slots and a provider costs Eq. (9) there; with true, CL_i has
+/// n_i·n'_max slots priced at the marginal congestion cost and a provider
+/// costs the congestion-free fixed part (see ApproOptions::congestion_aware).
+opt::TransportationInstance build_appro_transportation(
+    const Instance& inst, const VirtualCloudletSplit& split,
+    bool congestion_aware);
 
 }  // namespace mecsc::core

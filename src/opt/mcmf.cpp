@@ -11,8 +11,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-MinCostFlow::MinCostFlow(std::size_t node_count)
-    : arcs_(node_count), head_(node_count, 0) {}
+MinCostFlow::MinCostFlow(std::size_t node_count) : arcs_(node_count) {}
 
 std::size_t MinCostFlow::add_arc(std::size_t u, std::size_t v,
                                  std::int64_t capacity, double cost) {

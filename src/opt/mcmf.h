@@ -1,8 +1,9 @@
 // Min-cost max-flow via successive shortest paths with Johnson potentials.
 //
-// Substrate for: (a) the integral transportation formulation of Appro's
-// virtual-cloudlet assignment (Algorithm 1), (b) the matching step of the
-// Shmoys-Tardos GAP rounding, and (c) assignment baselines.
+// General-purpose flow on an explicit arc graph. It performs the matching
+// step of the Shmoys-Tardos GAP rounding (gap.cpp) and is the test oracle
+// for the group-level transportation solver (transportation.h), which
+// solves Appro's inner problem without building an arc graph.
 // Capacities are integral; costs are real-valued (may be negative on
 // initial arcs — handled by a Bellman-Ford bootstrap of the potentials).
 #pragma once
@@ -17,7 +18,7 @@ class MinCostFlow {
  public:
   explicit MinCostFlow(std::size_t node_count);
 
-  std::size_t node_count() const { return head_.size(); }
+  std::size_t node_count() const { return arcs_.size(); }
 
   /// Adds arc u -> v with the given capacity and per-unit cost; returns an
   /// arc handle usable with flow_on(). Precondition: capacity >= 0.
@@ -48,8 +49,6 @@ class MinCostFlow {
 
   bool has_negative_cost_ = false;
   std::vector<std::vector<Arc>> arcs_;
-  std::vector<std::size_t> head_;  // sized node_count; values unused (kept
-                                   // for node_count())
   std::vector<std::pair<std::size_t, std::size_t>> handles_;  // (node, idx)
 };
 

@@ -28,6 +28,15 @@ run_once() {
     "$MECSC" evaluate -i "$out/inst.json" -p "$out/$alg.json" \
         > "$out/$alg.eval.txt"
   done
+  # A size where Appro's transportation solve reroutes placed providers
+  # along augmenting paths (a few tenths of a path edge per provider).
+  "$MECSC" generate --size 400 --providers 1000 --seed "$SEED" \
+      -o "$out/large.inst.json"
+  for alg in lcf appro appro-literal; do
+    "$MECSC" solve -i "$out/large.inst.json" --algorithm "$alg" \
+        -o "$out/large.$alg.json" 2>/dev/null
+    python3 "$TOOLS_DIR/strip_wallclock.py" "$out/large.$alg.json"
+  done
   "$MECSC" price -i "$out/inst.json" -o "$out/priced.json" 2>/dev/null
   "$MECSC" stability -i "$out/inst.json" > "$out/stability.txt"
   "$MECSC" delay -i "$out/inst.json" -p "$out/lcf.json" > "$out/delay.txt"
