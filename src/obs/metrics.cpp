@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 namespace mecsc::obs {
 
@@ -39,6 +40,21 @@ util::JsonValue stats_to_json(const ValueStats& s) {
 }
 
 }  // namespace
+
+void ValueStats::add(double value) {
+  min = count == 0 ? value : std::min(min, value);
+  max = count == 0 ? value : std::max(max, value);
+  ++count;
+  sum += value;
+}
+
+void ValueStats::merge(const ValueStats& other) {
+  if (other.count == 0) return;
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  count += other.count;
+  sum += other.sum;
+}
 
 util::JsonValue MetricsSnapshot::to_json() const {
   util::JsonObject doc;
@@ -82,11 +98,20 @@ MetricsRegistry::Shard& MetricsRegistry::local_shard() {
   return handle.shard;
 }
 
+void MetricsRegistry::Shard::fold(const Shard& other) {
+  for (const auto& [name, v] : other.counters) counters[name] += v;
+  for (const auto& [name, vs] : other.values) {
+    auto& dst = values[name];
+    dst.insert(dst.end(), vs.begin(), vs.end());
+  }
+  for (const auto& [name, s] : other.wall_ms) wall_ms[name].merge(s);
+}
+
 void MetricsRegistry::retire(Shard&& shard) {
   if (shard.empty()) return;
   const util::MutexLock lock(mutex_);
   if (shard.epoch != g_epoch.load(std::memory_order_relaxed)) return;
-  retired_.push_back(std::move(shard));
+  retired_.fold(shard);
 }
 
 void MetricsRegistry::counter_add(const std::string& name,
@@ -100,7 +125,7 @@ void MetricsRegistry::value_record(const std::string& name, double value) {
 
 void MetricsRegistry::wall_duration_record(const std::string& name,
                                            double ms) {
-  local_shard().wall_ms[name].push_back(ms);
+  local_shard().wall_ms[name].add(ms);
 }
 
 void MetricsRegistry::gauge_set(const std::string& name, double value) {
@@ -110,39 +135,28 @@ void MetricsRegistry::gauge_set(const std::string& name, double value) {
 
 MetricsSnapshot MetricsRegistry::snapshot() {
   MetricsSnapshot snap;
-  std::map<std::string, std::vector<double>> values;
-  std::map<std::string, std::vector<double>> wall_ms;
+  Shard merged;
   {
     const util::MutexLock lock(mutex_);
     snap.gauges = gauges_;
-    auto merge_shard = [&](const Shard& s) {
-      for (const auto& [name, v] : s.counters) snap.counters[name] += v;
-      for (const auto& [name, vs] : s.values) {
-        auto& dst = values[name];
-        dst.insert(dst.end(), vs.begin(), vs.end());
-      }
-      for (const auto& [name, vs] : s.wall_ms) {
-        auto& dst = wall_ms[name];
-        dst.insert(dst.end(), vs.begin(), vs.end());
-      }
-    };
-    for (const Shard& s : retired_) merge_shard(s);
+    merged.fold(retired_);
     const Shard& live = local_shard();
     if (live.epoch == g_epoch.load(std::memory_order_relaxed)) {
-      merge_shard(live);
+      merged.fold(live);
     }
   }
-  for (auto& [name, vs] : values) snap.histograms[name] = fold_sorted(vs);
-  for (auto& [name, vs] : wall_ms) {
-    snap.wall_timers_ms[name] = fold_sorted(vs);
+  snap.counters = std::move(merged.counters);
+  for (auto& [name, vs] : merged.values) {
+    snap.histograms[name] = fold_sorted(vs);
   }
+  snap.wall_timers_ms = std::move(merged.wall_ms);
   return snap;
 }
 
 void MetricsRegistry::reset() {
   const util::MutexLock lock(mutex_);
   g_epoch.fetch_add(1, std::memory_order_acq_rel);
-  retired_.clear();
+  retired_ = Shard{};
   gauges_.clear();
 }
 

@@ -5,15 +5,18 @@
 // Determinism contract (the reason this file exists instead of a plain
 // map-plus-mutex): parallel_for hands out indices with an atomic counter,
 // so *which worker* records a given value is racy. Counters are exact
-// integer sums (partition-independent), and histogram shards keep the raw
-// values so snapshot() can sort the merged stream before folding it into
-// count/sum/min/max — identical runs therefore serialize to identical
-// bytes no matter how the work was split across threads.
+// integer sums (partition-independent), and deterministic value streams
+// keep their raw values so snapshot() can sort the merged stream before
+// folding it into count/sum/min/max — identical runs therefore serialize
+// to identical bytes no matter how the work was split across threads.
 //
 // Wall-clock durations are first-class but segregated: every key in the
 // serialized form that starts with "wall_" is timing metadata, never an
 // algorithm result. tools/strip_wallclock.py removes exactly those keys
-// before check_determinism.sh diffs artifacts.
+// before check_determinism.sh diffs artifacts. Because their sums are
+// never diffed, wall streams are kept as running count/sum/min/max, so a
+// daemon recording one per request holds constant state; only the order
+// of the floating-point additions in the sum depends on the thread split.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +29,16 @@
 
 namespace mecsc::obs {
 
-/// Order-independent summary of a value stream, computed from the sorted
-/// merged stream at snapshot time.
+/// Summary of a value stream. Deterministic streams compute it from the
+/// sorted merged stream at snapshot time; wall streams keep it running.
 struct ValueStats {
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;  ///< valid when count > 0
   double max = 0.0;  ///< valid when count > 0
+
+  void add(double value);
+  void merge(const ValueStats& other);
 };
 
 /// Merged, immutable view of the registry at one point in time.
@@ -52,9 +58,10 @@ struct MetricsSnapshot {
 };
 
 /// Process-wide registry. Recording routes through a thread-local shard
-/// that is merged back (under a mutex) when its thread exits; snapshot()
-/// additionally folds in the calling thread's live shard, so the usual
-/// record-in-parallel_for-then-snapshot pattern observes everything.
+/// that is folded (under a mutex) into one retired shard when its thread
+/// exits; snapshot() additionally folds in the calling thread's live
+/// shard, so the usual record-in-parallel_for-then-snapshot pattern
+/// observes everything.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
@@ -65,8 +72,9 @@ class MetricsRegistry {
   /// Records one observation of a deterministic value stream.
   void value_record(const std::string& name, double value);
 
-  /// Records one wall-clock duration (milliseconds). Kept apart from
-  /// value_record so timing can never masquerade as an algorithm result.
+  /// Records one wall-clock duration (milliseconds) into the stream's
+  /// running stats. Kept apart from value_record so timing can never
+  /// masquerade as an algorithm result.
   void wall_duration_record(const std::string& name, double ms);
 
   /// Last-writer-wins scalar. Only meaningful from sequential phases;
@@ -85,25 +93,31 @@ class MetricsRegistry {
  private:
   friend struct ShardHandle;
 
-  /// One thread's private buffer. Histograms keep raw values so the merge
-  /// can sort before summing (see file comment).
+  /// One thread's private buffer. Deterministic streams keep raw values
+  /// so the merge can sort before summing; wall streams keep running stats
+  /// (see file comment).
   struct Shard {
     std::uint64_t epoch = 0;  ///< registry generation this shard belongs to
     std::map<std::string, std::int64_t> counters;
     std::map<std::string, std::vector<double>> values;
-    std::map<std::string, std::vector<double>> wall_ms;
+    std::map<std::string, ValueStats> wall_ms;
     bool empty() const {
       return counters.empty() && values.empty() && wall_ms.empty();
     }
+    /// Adds `other`'s counts and streams to this shard's.
+    void fold(const Shard& other);
   };
 
   Shard& local_shard();
   void retire(Shard&& shard);
 
-  /// Leaf lock: taken only to merge retired shards / touch gauges, never
+  /// Leaf lock: taken only to fold retired shards / touch gauges, never
   /// while calling out of this class.
   util::Mutex mutex_;
-  std::vector<Shard> retired_ MECSC_GUARDED_BY(mutex_);
+  /// Everything exited threads recorded in the current epoch, folded into
+  /// one shard so thread churn (a session thread per connection) adds no
+  /// per-thread state.
+  Shard retired_ MECSC_GUARDED_BY(mutex_);
   std::map<std::string, double> gauges_ MECSC_GUARDED_BY(mutex_);
 };
 

@@ -23,6 +23,18 @@ std::size_t thread_ordinal() {
   return ordinal;
 }
 
+/// RED key for a request type: the type itself when the daemons serve it
+/// (or "unparsed"), else "unknown" (see ServiceTelemetry).
+const std::string& red_type_key(const std::string& type) {
+  static const std::string kKnown[] = {"drain_backend", "health", "metrics",
+                                       "poa",           "shutdown", "solve",
+                                       "stats",         "unparsed"};
+  static const std::string kUnknown = "unknown";
+  for (const std::string& known : kKnown)
+    if (type == known) return known;
+  return kUnknown;
+}
+
 /// Prometheus label values: escape backslash, double-quote, and newline
 /// per the text exposition format.
 std::string prom_escape(const std::string& value) {
@@ -266,7 +278,7 @@ void ServiceTelemetry::record_at(const RequestEvent& event, double at_ms) {
       static_cast<std::uint64_t>(std::max(0.0, at_ms) / slot_ms_);
   Shard& shard = local_shard();
   util::MutexLock lock(shard.mutex);
-  TypeState& state = shard.types[event.type];
+  TypeState& state = shard.types[red_type_key(event.type)];
   if (state.slots.empty()) state.slots.resize(options_.slots);
   ++state.requests;
   state.bytes_in += event.bytes_in;

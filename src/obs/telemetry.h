@@ -187,6 +187,12 @@ struct ServiceGauges {
 /// thread-safe; the *_at variants take an explicit clock value (ms on the
 /// telemetry's own monotonic axis) and are the deterministic entry points
 /// the window-rotation tests drive.
+///
+/// State is keyed by request type from a fixed set: the daemons' types
+/// (solve, poa, health, stats, metrics, shutdown, drain_backend) and
+/// "unparsed". Any other type string — clients choose it — is recorded
+/// as "unknown", so hostile input cannot grow the per-type state or the
+/// Prometheus label set.
 class ServiceTelemetry {
  public:
   struct Options {

@@ -307,30 +307,46 @@ std::uint64_t TraceWriter::dropped() const {
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void FlightRecorder::record(const RequestEvent& event,
-                            const FinishedTrace* trace) {
-  util::JsonObject entry;
-  entry["event"] = event.to_json();
-  if (trace != nullptr) entry["trace"] = trace->summary_json();
-  util::JsonValue value{std::move(entry)};
+void FlightRecorder::record(RequestEvent event,
+                            std::optional<FinishedTrace> trace) {
+  auto entry = std::make_shared<const Entry>(
+      Entry{std::move(event), std::move(trace)});
+  std::shared_ptr<const Entry> evicted;  // freed after the lock is released
   const util::MutexLock lock(mutex_);
-  entries_.push_back(std::move(value));
-  if (entries_.size() > capacity_) entries_.pop_front();
+  entries_.push_back(std::move(entry));
+  if (entries_.size() > capacity_) {
+    evicted = std::move(entries_.front());
+    entries_.pop_front();
+  }
   ++recorded_;
 }
 
+void FlightRecorder::record(RequestEvent event, const FinishedTrace* trace) {
+  record(std::move(event), trace != nullptr
+                               ? std::optional<FinishedTrace>(*trace)
+                               : std::nullopt);
+}
+
 util::JsonValue FlightRecorder::to_json() const {
+  std::vector<std::shared_ptr<const Entry>> entries;
+  std::uint64_t recorded = 0;
+  {
+    const util::MutexLock lock(mutex_);
+    recorded = recorded_;
+    entries.assign(entries_.begin(), entries_.end());
+  }
+  util::JsonArray items;
+  items.reserve(entries.size());
+  for (const std::shared_ptr<const Entry>& entry : entries) {
+    util::JsonObject item;
+    item["event"] = entry->event.to_json();
+    if (entry->trace) item["trace"] = entry->trace->summary_json();
+    items.emplace_back(std::move(item));
+  }
   util::JsonObject doc;
   doc["obs_format_version"] = util::JsonValue(kObsFormatVersion);
   doc["capacity"] = util::JsonValue(capacity_);
-  util::JsonArray items;
-  {
-    const util::MutexLock lock(mutex_);
-    doc["recorded_total"] =
-        util::JsonValue(static_cast<std::size_t>(recorded_));
-    items.reserve(entries_.size());
-    for (const util::JsonValue& entry : entries_) items.push_back(entry);
-  }
+  doc["recorded_total"] = util::JsonValue(static_cast<std::size_t>(recorded));
   doc["entries"] = util::JsonValue(std::move(items));
   return util::JsonValue(std::move(doc));
 }

@@ -35,13 +35,15 @@
 // a fixed-size ring of the last N completed requests (wide event + span
 // tree), always on, dumped on SIGQUIT or via admin GET /debug/flight —
 // so a misbehaving daemon can be explained post-hoc without having had
-// trace export enabled.
+// trace export enabled. The ring holds the structs themselves and renders
+// JSON only when a dump asks for it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -245,16 +247,21 @@ class TraceWriter {
 };
 
 /// Always-on ring of the last `capacity` completed requests: the wide
-/// event plus (when tracing ran) the span-tree summary, pre-serialized at
-/// record time so dumping never touches request internals. Thread-safe;
-/// recording is one small JSON build plus a short critical section.
+/// event plus (when tracing ran) the finished span tree, held as the
+/// structs they were recorded as. Nothing is serialized until a dump asks
+/// for it: recording moves the entry in under the lock (the evicted one is
+/// freed outside it), and a dump copies the ring's pointers under the lock
+/// and renders outside it. Thread-safe.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity);
 
-  /// `trace` may be null (requests rejected before admission, or tracing
-  /// disabled): the entry then carries the wide event only.
-  void record(const RequestEvent& event, const FinishedTrace* trace);
+  /// `trace` may be empty (requests rejected before admission): the entry
+  /// then carries the wide event only.
+  void record(RequestEvent event, std::optional<FinishedTrace> trace);
+  /// Copies `*trace` into the entry when it is not null; for callers that
+  /// also hand the trace to a TraceWriter.
+  void record(RequestEvent event, const FinishedTrace* trace);
 
   /// {"obs_format_version", "capacity", "recorded_total", "entries":
   /// [{"event": {...}, "trace": {...}}, ...]} — oldest first. Entry
@@ -267,9 +274,16 @@ class FlightRecorder {
   std::uint64_t recorded_total() const;
 
  private:
+  struct Entry {
+    RequestEvent event;
+    std::optional<FinishedTrace> trace;
+  };
+
   std::size_t capacity_;
   mutable util::Mutex mutex_;
-  std::deque<util::JsonValue> entries_ MECSC_GUARDED_BY(mutex_);
+  /// Oldest first. Entries are immutable and shared, so a dump in progress
+  /// keeps its copies alive past their eviction.
+  std::deque<std::shared_ptr<const Entry>> entries_ MECSC_GUARDED_BY(mutex_);
   std::uint64_t recorded_ MECSC_GUARDED_BY(mutex_) = 0;
 };
 

@@ -166,20 +166,15 @@ void Router::acceptor_loop() {
   while (true) {
     svc::ConnectionPtr conn = listener_->accept();
     if (!conn) return;
-    {
-      const util::MutexLock lock(lifecycle_mutex_);
-      if (draining_.load(std::memory_order_acquire)) {
-        conn->write_line(error_line(JsonValue(nullptr), "shutting_down",
-                                    "router is draining"));
-        continue;
-      }
-      conns_.push_back(conn);
-      const std::uint32_t ordinal = next_ordinal++;
-      session_threads_.emplace_back(
-          [this, conn = std::move(conn), ordinal]() mutable {
-            session_loop(std::move(conn), ordinal);
-          });
+    const std::uint32_t ordinal = next_ordinal;
+    if (!sessions_.spawn(conn, [this, ordinal](svc::ConnectionPtr c) {
+          session_loop(std::move(c), ordinal);
+        })) {
+      conn->write_line(error_line(JsonValue(nullptr), "shutting_down",
+                                  "router is draining"));
+      continue;
     }
+    ++next_ordinal;
     {
       const util::MutexLock lock(stats_mutex_);
       ++counters_.accepted_connections;
@@ -651,9 +646,12 @@ void Router::process_line(const svc::ConnectionPtr& conn, std::string line,
                     admitted_at_ms);
   if (!keep_reason.empty())
     traces_kept_.fetch_add(1, std::memory_order_relaxed);
-  flight_.record(event, &finished);
-  if (trace_writer_ && !keep_reason.empty())
+  if (trace_writer_ && !keep_reason.empty()) {
+    flight_.record(event, &finished);  // the writer needs the trace too
     trace_writer_->write(std::move(finished));
+  } else {
+    flight_.record(event, std::move(finished));
+  }
 
   record_event(std::move(event));
 }
@@ -769,10 +767,9 @@ void Router::request_shutdown() {
                                          std::memory_order_acq_rel))
     return;
   if (listener_) listener_->shutdown();
+  sessions_.close();
   {
     const util::MutexLock lock(lifecycle_mutex_);
-    for (const std::weak_ptr<svc::Connection>& weak : conns_)
-      if (svc::ConnectionPtr conn = weak.lock()) conn->shutdown_read();
     drain_ready_ = true;
   }
   {
@@ -790,13 +787,7 @@ void Router::wait() {
   }
   if (acceptor_thread_.joinable()) acceptor_thread_.join();
   if (prober_thread_.joinable()) prober_thread_.join();
-  {
-    const util::MutexLock lock(lifecycle_mutex_);
-    for (std::thread& t : session_threads_)
-      if (t.joinable()) t.join();
-    session_threads_.clear();
-    conns_.clear();
-  }
+  sessions_.join_all();
   // Sessions are gone, so the pools are quiescent; dropping the idle
   // connections closes them.
   for (const auto& backend : backends_) {

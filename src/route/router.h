@@ -54,6 +54,7 @@
 #include "obs/tracing.h"
 #include "route/shard_map.h"
 #include "svc/admin.h"
+#include "svc/sessions.h"
 #include "svc/socket.h"
 #include "util/json.h"
 #include "util/sync.h"
@@ -258,15 +259,10 @@ class Router {
   std::atomic<std::size_t> connections_in_flight_{0};
 
   std::atomic<bool> draining_{false};
-  /// Lifecycle lock (same hierarchy slot as SolverServer's): may be held
-  /// while writing a drain notice to a Connection; never while touching a
-  /// backend pool or stats_mutex_.
+  /// Leaf lock for the drain handshake between request_shutdown() and
+  /// wait() (same role as SolverServer's).
   util::Mutex lifecycle_mutex_;
   bool drain_ready_ MECSC_GUARDED_BY(lifecycle_mutex_) = false;
-  std::vector<std::weak_ptr<svc::Connection>> conns_
-      MECSC_GUARDED_BY(lifecycle_mutex_);
-  std::vector<std::thread> session_threads_
-      MECSC_GUARDED_BY(lifecycle_mutex_);
   std::thread acceptor_thread_;  ///< start()/wait() only (owning thread)
   std::thread prober_thread_;    ///< start()/wait() only (owning thread)
   util::CondVar drain_cv_;
@@ -279,6 +275,10 @@ class Router {
   /// Leaf lock for the counters.
   mutable util::Mutex stats_mutex_;
   RouterStats counters_ MECSC_GUARDED_BY(stats_mutex_);
+
+  /// One thread per open connection. Declared last so that it is
+  /// destroyed (and its threads joined) before anything they use.
+  svc::SessionSet sessions_;
 };
 
 }  // namespace mecsc::route

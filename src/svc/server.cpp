@@ -187,18 +187,12 @@ void SolverServer::acceptor_loop() {
   while (true) {
     ConnectionPtr conn = listener_->accept();
     if (!conn) return;  // listener shut down (drain) or fatal error
-    {
-      const util::MutexLock lock(lifecycle_mutex_);
-      if (draining_.load(std::memory_order_acquire)) {
-        conn->write_line(error_line(JsonValue(nullptr), "shutting_down",
-                                    "server is draining"));
-        continue;  // connection closes when conn goes out of scope
-      }
-      conns_.push_back(conn);
-      session_threads_.emplace_back(
-          [this, conn = std::move(conn)]() mutable {
-            session_loop(std::move(conn));
-          });
+    if (!sessions_.spawn(conn, [this](ConnectionPtr c) {
+          session_loop(std::move(c));
+        })) {
+      conn->write_line(error_line(JsonValue(nullptr), "shutting_down",
+                                  "server is draining"));
+      continue;  // connection closes when conn goes out of scope
     }
     {
       const util::MutexLock lock(stats_mutex_);
@@ -703,9 +697,11 @@ void SolverServer::process(Job job, std::uint32_t worker_ordinal) {
     traces_kept_.fetch_add(1, std::memory_order_relaxed);
     metrics.counter_add("svc.traces_kept");
   }
-  flight_.record(event, &finished);
   if (trace_writer_ && !keep_reason.empty()) {
+    flight_.record(event, &finished);  // the writer needs the trace too
     trace_writer_->write(std::move(finished));
+  } else {
+    flight_.record(event, std::move(finished));
   }
 
   record_event(std::move(event));
@@ -717,13 +713,12 @@ void SolverServer::request_shutdown() {
                                          std::memory_order_acq_rel))
     return;  // already draining
   if (listener_) listener_->shutdown();
+  // Wake blocked session readers so they observe the drain and exit.
+  // drain_ready_ gates wait() so it never tries to join a session that
+  // this sweep has not woken yet.
+  sessions_.close();
   {
-    // Wake blocked session readers so they observe the drain and exit.
-    // drain_ready_ gates wait() so it never tries to join a session that
-    // this sweep has not woken yet.
     const util::MutexLock lock(lifecycle_mutex_);
-    for (const std::weak_ptr<Connection>& weak : conns_)
-      if (ConnectionPtr conn = weak.lock()) conn->shutdown_read();
     drain_ready_ = true;
   }
   cache_.shutdown_wakeup();
@@ -736,16 +731,10 @@ void SolverServer::wait() {
     while (!drain_ready_) drain_cv_.wait(lifecycle_mutex_);
   }
   if (acceptor_thread_.joinable()) acceptor_thread_.join();
-  {
-    // The acceptor is gone, so session_threads_ is stable now. Sessions
-    // exit on EOF/shutdown_read; every request they admitted is drained by
-    // the workers below before the pool exits.
-    const util::MutexLock lock(lifecycle_mutex_);
-    for (std::thread& t : session_threads_)
-      if (t.joinable()) t.join();
-    session_threads_.clear();
-    conns_.clear();
-  }
+  // The acceptor is gone, so no session starts any more. Sessions exit on
+  // EOF/shutdown_read; every request they admitted is drained by the
+  // workers below before the pool exits.
+  sessions_.join_all();
   queue_.close();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();

@@ -21,7 +21,8 @@
 // shutting_down, internal.
 //
 // Threading model: the acceptor thread spawns one session thread per
-// connection; sessions read request lines and enqueue {line, connection}
+// connection (svc/sessions.h; finished sessions are joined as new ones
+// arrive); sessions read request lines and enqueue {line, connection}
 // into a bounded queue (admission control — a full queue answers
 // "overloaded" immediately instead of stalling the socket); `threads`
 // workers pop, parse, solve, and write the response under the
@@ -45,6 +46,7 @@
 #include "svc/admin.h"
 #include "svc/bounded_queue.h"
 #include "svc/result_cache.h"
+#include "svc/sessions.h"
 #include "svc/socket.h"
 #include "util/json.h"
 #include "util/sync.h"
@@ -214,15 +216,10 @@ class SolverServer {
   std::atomic<std::size_t> connections_in_flight_{0};
 
   std::atomic<bool> draining_{false};
-  /// Connection/session lifecycle lock. Ordering: may be held while taking
-  /// a Connection's internal write lock (write_line on drain notices);
-  /// never held while touching queue_, cache_, or stats_mutex_.
+  /// Leaf lock for the drain handshake between request_shutdown() and
+  /// wait().
   util::Mutex lifecycle_mutex_;
   bool drain_ready_ MECSC_GUARDED_BY(lifecycle_mutex_) = false;
-  std::vector<std::weak_ptr<Connection>> conns_
-      MECSC_GUARDED_BY(lifecycle_mutex_);
-  std::vector<std::thread> session_threads_
-      MECSC_GUARDED_BY(lifecycle_mutex_);
   std::thread acceptor_thread_;   ///< start()/wait() only (owning thread)
   std::vector<std::thread> workers_;  ///< start()/wait() only (owning thread)
   util::CondVar drain_cv_;
@@ -231,6 +228,10 @@ class SolverServer {
   /// takes another lock.
   mutable util::Mutex stats_mutex_;
   ServerStats counters_ MECSC_GUARDED_BY(stats_mutex_);
+
+  /// One thread per open connection. Declared last so that it is
+  /// destroyed (and its threads joined) before anything they use.
+  SessionSet sessions_;
 };
 
 }  // namespace mecsc::svc

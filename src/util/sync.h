@@ -33,9 +33,8 @@
 //
 // Lock hierarchy (documented in DESIGN.md "Concurrency invariants" and
 // linted by tools/lint_concurrency.py): result cache -> request queue ->
-// stats counters; SolverServer::lifecycle_mutex_ -> Connection write lock.
-// Every other mutex in the tree is a leaf — never held while calling into
-// another locking component.
+// stats counters. Every other mutex in the tree is a leaf — never held
+// while calling into another locking component.
 #pragma once
 
 #include <chrono>

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/json.h"
 #include "util/parallel.h"
@@ -116,6 +120,73 @@ TEST_F(ObsMetrics, WallTimersSegregatedUnderWallPrefix) {
   // ...and never in the deterministic sections.
   EXPECT_FALSE(doc.at("histograms").contains("phase"));
   EXPECT_TRUE(doc.at("counters").contains("deterministic.counter"));
+}
+
+// Wall streams keep running count/sum/min/max per shard. Whichever thread
+// recorded what, count, min and max are exact; only the order of the
+// floating-point additions in the sum may differ from the sorted sum.
+TEST_F(ObsMetrics, WallStreamsFromEightThreadsKeepExactCountMinMax) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 500;
+  auto value_of = [](int t, int i) {
+    return 0.001 * static_cast<double>((t * 7919 + i * 104729) % 10007) +
+           1e-7 * static_cast<double>(i);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &value_of] {
+      for (int i = 0; i < kPerThread; ++i)
+        MetricsRegistry::global().wall_duration_record("wall_x",
+                                                       value_of(t, i));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<double> all;
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i) all.push_back(value_of(t, i));
+  std::sort(all.begin(), all.end());
+  double sorted_sum = 0.0;
+  for (const double v : all) sorted_sum += v;
+
+  const ValueStats s = MetricsRegistry::global().snapshot().wall_timers_ms.at(
+      "wall_x");
+  EXPECT_EQ(s.count, all.size());
+  EXPECT_EQ(s.min, all.front());
+  EXPECT_EQ(s.max, all.back());
+  EXPECT_LE(std::abs(s.sum - sorted_sum), 1e-12 * sorted_sum);
+}
+
+// Every exiting thread's shard folds into one retired shard; totals over
+// many short-lived threads stay exact.
+TEST_F(ObsMetrics, TotalsStayExactAfterThousandRetiredThreads) {
+  constexpr int kThreads = 1000;
+  constexpr int kBatch = 8;  // a few threads alive at a time
+  for (int first = 0; first < kThreads; first += kBatch) {
+    std::vector<std::thread> batch;
+    for (int t = first; t < first + kBatch; ++t) {
+      batch.emplace_back([t] {
+        auto& m = MetricsRegistry::global();
+        m.counter_add("churn.count");
+        m.counter_add("churn.weighted", t);
+        m.value_record("churn.values", static_cast<double>(t));
+        m.wall_duration_record("wall_churn", static_cast<double>(t));
+      });
+    }
+    for (std::thread& t : batch) t.join();
+  }
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  constexpr double kSum = kThreads * (kThreads - 1) / 2.0;
+  EXPECT_EQ(snap.counters.at("churn.count"), kThreads);
+  EXPECT_EQ(snap.counters.at("churn.weighted"),
+            static_cast<std::int64_t>(kSum));
+  for (const ValueStats& s : {snap.histograms.at("churn.values"),
+                              snap.wall_timers_ms.at("wall_churn")}) {
+    EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads));
+    EXPECT_EQ(s.sum, kSum);  // integers: exact in any order
+    EXPECT_EQ(s.min, 0.0);
+    EXPECT_EQ(s.max, kThreads - 1.0);
+  }
 }
 
 TEST_F(ObsMetrics, SnapshotJsonRoundTripsThroughParser) {

@@ -823,6 +823,33 @@ TEST(SvcServer, SlowRequestsAreTailKeptAtSampleRateZero) {
   EXPECT_EQ(summaries[0].string_at("keep_reason"), "slow");
 }
 
+// The client chooses the "type" string, so RED state must not grow with
+// it: every unserved type shares the "unknown" key, while the error
+// message still quotes what the client sent.
+TEST(SvcServer, UnknownTypesShareOneRedKey) {
+  svc::ServerOptions options = ServerFixture::make_default();
+  options.threads = 1;  // FIFO: every event is recorded before "metrics"
+  ServerFixture f(std::move(options));
+  svc::SvcClient client = f.client();
+  constexpr int kTypes = 50;
+  for (int i = 0; i < kTypes; ++i) {
+    const std::string type = "no-such-type-" + std::to_string(i);
+    JsonObject request;
+    request["type"] = JsonValue(type);
+    const svc::SvcResponse r = client.call(JsonValue(std::move(request)));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error_code, "bad_request");
+    EXPECT_NE(r.error_message.find(type), std::string::npos)
+        << r.error_message;
+  }
+  const svc::SvcResponse m = client.metrics();
+  ASSERT_TRUE(m.ok);
+  const JsonValue& red = m.body.at("telemetry").at("red");
+  EXPECT_EQ(red.as_object().size(), 1u) << red.dump();
+  EXPECT_EQ(red.at("unknown").number_at("requests"),
+            static_cast<double>(kTypes));
+}
+
 TEST(SvcServer, DebugFlightEndpointServesTheRing) {
   svc::ServerOptions options = ServerFixture::make_default();
   options.threads = 1;

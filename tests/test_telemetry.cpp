@@ -331,6 +331,33 @@ TEST(TelemetryExport, JsonShapeSegregatesWallKeys) {
   EXPECT_TRUE(doc.at("wall_gauges").contains("queue_depth"));
 }
 
+// Request types come from clients; only the daemons' own types (and
+// "unparsed") get RED state of their own.
+TEST(TelemetryExport, UnservedTypesShareTheUnknownKey) {
+  ServiceTelemetry telemetry;
+  for (const std::string type :
+       {"solve", "poa", "health", "stats", "metrics", "shutdown",
+        "drain_backend", "unparsed"}) {
+    RequestEvent e;
+    e.type = type;
+    telemetry.record_at(e, 0.0);
+  }
+  for (int i = 0; i < 100; ++i) {
+    RequestEvent e;
+    e.type = "client-type-" + std::to_string(i);
+    e.ok = false;
+    e.outcome = "bad_request";
+    telemetry.record_at(e, 0.0);
+  }
+  const TelemetrySnapshot snap = telemetry.snapshot_at(0.0);
+  EXPECT_EQ(snap.types.size(), 9u);
+  ASSERT_EQ(snap.types.count("unknown"), 1u);
+  EXPECT_EQ(snap.types.at("unknown").requests, 100u);
+  EXPECT_EQ(snap.types.at("unknown").errors_by_code.at("bad_request"), 100u);
+  EXPECT_EQ(snap.types.at("solve").requests, 1u);
+  EXPECT_EQ(snap.types.at("drain_backend").requests, 1u);
+}
+
 TEST(TelemetryExport, PrometheusExpositionIsWellFormed) {
   ServiceTelemetry telemetry;
   telemetry.record_at(solve_event(0.5), 10.0);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "obs/profiler.h"
+#include "obs/run_info.h"
 #include "util/json.h"
 #include "util/timer.h"
 
@@ -438,6 +439,42 @@ TEST(FlightRecorder, EntriesCarryTraceSummariesWhenPresent) {
   EXPECT_EQ(entry.at("trace").string_at("request_id"), "f-t");
   EXPECT_EQ(entry.at("trace").number_at("spans"), 2.0);
   EXPECT_EQ(entry.at("trace").at("root").string_at("name"), "svc.request");
+}
+
+// The ring keeps structs and renders on demand; the dump must be the
+// document eager rendering at record time produced: each entry's
+// event.to_json() and summary_json(), oldest first, whether the trace was
+// moved in, copied in, or absent.
+TEST(FlightRecorder, DeferredRenderingMatchesEagerRendering) {
+  FlightRecorder flight(3);
+  std::vector<JsonValue> eager;
+  for (int i = 0; i < 5; ++i) {
+    const std::string rid = "e-" + std::to_string(i);
+    RequestEvent event = make_event(rid);
+    event.bytes_in = 10 + static_cast<std::uint64_t>(i);
+    event.cache_outcome = i % 2 == 0 ? "hit" : "miss";
+    util::JsonObject entry;
+    entry["event"] = event.to_json();
+    if (i == 1) {
+      flight.record(event, nullptr);
+    } else if (i == 3) {
+      const FinishedTrace trace = make_trace(rid);
+      entry["trace"] = trace.summary_json();
+      flight.record(event, &trace);
+    } else {
+      FinishedTrace trace = make_trace(rid);
+      entry["trace"] = trace.summary_json();
+      flight.record(event, std::move(trace));
+    }
+    eager.emplace_back(std::move(entry));
+  }
+  util::JsonObject expected;
+  expected["obs_format_version"] = JsonValue(kObsFormatVersion);
+  expected["capacity"] = JsonValue(3);
+  expected["recorded_total"] = JsonValue(5);
+  expected["entries"] =
+      JsonValue(util::JsonArray(eager.begin() + 2, eager.end()));
+  EXPECT_EQ(flight.to_json().dump(), JsonValue(std::move(expected)).dump());
 }
 
 // Recorders and dumpers racing; TSan checks the lock discipline and the

@@ -38,10 +38,10 @@ as deadlocks under TSan and as review findings here):
     locks are LEAF locks: never held while calling into another locking
     component. A future path that must nest them acquires left-to-right in
     the order above.
-  SolverServer::lifecycle_mutex_ -> Connection write lock
-    The one real nesting today: the server may hold the lifecycle lock
-    while write_line() takes a connection's write lock (drain notices).
-    Nothing may acquire lifecycle_mutex_ while holding a connection lock.
+  SessionSet::mutex_ (src/svc/sessions.h)
+    Held across shutdown(2) of each live connection's read side during a
+    drain, and across thread creation in spawn(); it takes no other lock.
+    Finished sessions are joined after it is released.
 
 Suppressing a finding: append  // concurrency-lint: allow(<rule>)  to the
 line, with a comment saying why it is safe. src/util/sync.h is exempt
